@@ -12,7 +12,6 @@ from .arith import (
     Factorization,
     crt,
     factorize,
-    gcd,
     is_prime,
     jacobsthal,
     mod_inverse,
@@ -38,7 +37,6 @@ from .errors import (
     CertificateFormatError,
     CongruenceViolated,
     EscalationExhausted,
-    FactorizationTooHard,
     InputTooLarge,
     ModuliNotCoprime,
     NoCandidate,
@@ -86,7 +84,6 @@ __all__ = [
     "DiscrepancyReport",
     "EscalationExhausted",
     "Factorization",
-    "FactorizationTooHard",
     "FractionCandidate",
     "InputTooLarge",
     "ModuliNotCoprime",
@@ -112,7 +109,6 @@ __all__ = [
     "faithful_parameters",
     "find_coprime_numerator",
     "find_denominator_for_prime",
-    "gcd",
     "is_prime",
     "jacobsthal",
     "lift_chain",

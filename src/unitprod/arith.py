@@ -12,13 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import (
-    FactorizationTooHard,
-    InputTooLarge,
-    ModuliNotCoprime,
-    NotCoprime,
-    SearchExhausted,
-)
+from .errors import InputTooLarge, ModuliNotCoprime, NotCoprime, SearchExhausted
 
 # Largest n for which the fixed Miller-Rabin base set below is a proven
 # deterministic primality test (Sorenson & Webster, first 13 primes).
@@ -29,7 +23,6 @@ DEFAULT_MILLER_RABIN_ROUNDS = 64
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 TRIAL_DIVISION_LIMIT = 10**6
-RHO_ITERATION_BUDGET = 10**7
 JACOBSTHAL_SCAN_LIMIT = 10**7
 
 DEFAULT_PRIME_SEARCH_STEPS = 100_000
@@ -79,11 +72,6 @@ def strict_ceil(q: Fraction | int) -> int:
     return q.numerator // q.denominator + 1
 
 
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor; gcd(0, 0) = 0."""
-    return math.gcd(a, b)
-
-
 def mod_inverse(a: int, m: int) -> int:
     """Multiplicative inverse of a modulo m, in [1, m).
 
@@ -129,12 +117,12 @@ def _miller_rabin_passes(n: int, a: int, d: int, s: int) -> bool:
     return False
 
 
-def is_prime(n: int, rounds: int = DEFAULT_MILLER_RABIN_ROUNDS) -> bool:
+def is_prime(n: int) -> bool:
     """Miller-Rabin primality test.
 
     Deterministic below DETERMINISTIC_PRIMALITY_BOUND via the fixed base set;
-    above it, `rounds` bases are drawn from an RNG seeded by n itself, so the
-    answer is still reproducible run to run.
+    above it, DEFAULT_MILLER_RABIN_ROUNDS bases are drawn from an RNG seeded
+    by n itself, so the answer is still reproducible run to run.
     """
     if n < 2:
         return False
@@ -148,16 +136,18 @@ def is_prime(n: int, rounds: int = DEFAULT_MILLER_RABIN_ROUNDS) -> bool:
         bases: tuple[int, ...] = _DETERMINISTIC_BASES
     else:
         rng = random.Random(n)
-        bases = tuple(rng.randrange(2, n - 1) for _ in range(rounds))
+        bases = tuple(
+            rng.randrange(2, n - 1) for _ in range(DEFAULT_MILLER_RABIN_ROUNDS)
+        )
     # a base divisible by n carries no information (only hit by n = 41)
     return all(a % n == 0 or _miller_rabin_passes(n, a, d, s) for a in bases)
 
 
-def primality_method(n: int, rounds: int = DEFAULT_MILLER_RABIN_ROUNDS) -> str:
+def primality_method(n: int) -> str:
     """Tag recording how is_prime decided n (stored in certificates)."""
     if n < DETERMINISTIC_PRIMALITY_BOUND:
         return "miller-rabin-deterministic"
-    return f"miller-rabin-probabilistic-{rounds}"
+    return f"miller-rabin-probabilistic-{DEFAULT_MILLER_RABIN_ROUNDS}"
 
 
 def next_prime_in_ap(
@@ -187,90 +177,39 @@ def next_prime(lower: int, max_steps: int = DEFAULT_PRIME_SEARCH_STEPS) -> int:
     return next_prime_in_ap(CongruenceClass(0, 1), lower, max_steps)
 
 
-def _brent_rho(n: int, budget: list) -> int:
-    """A nontrivial factor of odd composite n, or FactorizationTooHard.
+def factorize(n: int) -> Factorization:
+    """Factor n >= 1 by trial division up to TRIAL_DIVISION_LIMIT.
 
-    Deterministic: polynomial offsets c = 1, 2, ... are tried in order.
-    budget is a single-element mutable iteration counter shared across calls.
-    """
-    for c in range(1, 64):
-        y, r, q = 2, 1, 1
-        g, x, ys = 1, 2, 2
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                chunk = min(128, r - k)
-                for _ in range(chunk):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                budget[0] -= chunk
-                if budget[0] < 0:
-                    raise FactorizationTooHard(
-                        f"rho iteration budget exhausted factoring {n}"
-                    )
-                g = math.gcd(q, n)
-                k += chunk
-            r *= 2
-        if g == n:
-            # backtrack one squaring at a time
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
-    raise FactorizationTooHard(f"rho failed to split {n}")
-
-
-def factorize(
-    n: int,
-    trial_limit: int = TRIAL_DIVISION_LIMIT,
-    rho_budget: int = RHO_ITERATION_BUDGET,
-) -> Factorization:
-    """Factor n >= 1 by trial division up to trial_limit, then Brent's rho.
-
-    Intended for desk-scale inputs; raises FactorizationTooHard past the
-    rho iteration budget.
+    Raises InputTooLarge when the cofactor left after trial division is
+    composite, i.e. n has two prime factors above the limit.
     """
     if n < 1:
         raise ValueError("n must be positive")
     original = n
     powers: dict[int, int] = {}
 
-    def record(p: int, e: int = 1) -> None:
-        powers[p] = powers.get(p, 0) + e
+    def record(p: int) -> None:
+        powers[p] = powers.get(p, 0) + 1
 
     while n % 2 == 0:
         record(2)
         n //= 2
     f = 3
-    while f <= trial_limit and f * f <= n:
+    while f <= TRIAL_DIVISION_LIMIT and f * f <= n:
         while n % f == 0:
             record(f)
             n //= f
         f += 2
-
-    budget = [rho_budget]
-    pending = [n] if n > 1 else []
-    while pending:
-        m = pending.pop()
-        if m == 1:
-            continue
-        if is_prime(m):
-            record(m)
-            continue
-        d = _brent_rho(m, budget)
-        pending.append(d)
-        pending.append(m // d)
-
+    if n > 1:
+        if not is_prime(n):
+            raise InputTooLarge(
+                f"{original} has a composite cofactor {n} beyond trial division"
+            )
+        record(n)
     return Factorization(original, tuple(sorted(powers.items())))
 
 
-def jacobsthal(b: int, scan_limit: int = JACOBSTHAL_SCAN_LIMIT) -> int:
+def jacobsthal(b: int) -> int:
     """Maximum gap between consecutive integers coprime to b.
 
     Equivalently: the least window length w such that every w consecutive
@@ -283,8 +222,8 @@ def jacobsthal(b: int, scan_limit: int = JACOBSTHAL_SCAN_LIMIT) -> int:
     """
     if b < 1:
         raise ValueError("b must be positive")
-    if b > scan_limit:
-        raise InputTooLarge(f"exact scan restricted to b <= {scan_limit}")
+    if b > JACOBSTHAL_SCAN_LIMIT:
+        raise InputTooLarge(f"exact scan restricted to b <= {JACOBSTHAL_SCAN_LIMIT}")
     if b == 1:
         return 1
     span = 2 * b

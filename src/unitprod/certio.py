@@ -1,15 +1,21 @@
 """Line-oriented text format for certificates and reports.
 
-Every value is a decimal integer or an exact num/den fraction, so
-parse(serialize(c)) == c bit for bit. Writers emit a canonical field order;
-the parser accepts the fields in any order but rejects unknown or duplicate
-keys. Poly certificates embed their inner point certificate as a two-space
+Each document kind is one table of (key, codec, getter) rows plus a
+constructor; one writer and one parser walk the tables. Every value is a
+decimal integer or an exact num/den fraction, so parse(serialize(c)) == c
+bit for bit. The parser accepts the fields in any order, rejects missing,
+unknown or duplicate keys, and accepts only the canonical encoding: every
+field must read exactly as the writer would write the parsed document.
+Poly certificates embed their inner point certificate as a two-space
 indented block after an "inner:" line.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
+from operator import attrgetter
+from typing import Any
 
 from .arith import CongruenceClass
 from .chain import Chain, TargetPoint
@@ -18,74 +24,126 @@ from .lab import DiscrepancyReport
 from .lift import CERTIFICATE_VERSION, Certificate, WitnessPoint
 from .poly import MonicPolynomial, PolyCertificate
 
-POINT_KIND = "point-certificate"
-POLY_KIND = "poly-certificate"
-REPORT_KIND = "discrepancy-report"
+
+# How one field's value is written (show) and read back (read).
+Codec = namedtuple("Codec", "show read")
 
 
-def _frac(q: Fraction) -> str:
+def _show_frac(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def _frac_list(values) -> str:
-    return ",".join(_frac(q) for q in values)
+def _read_frac(text: str) -> Fraction:
+    num, sep, den = text.partition("/")
+    if not sep:
+        raise ValueError(f"expected num/den, got {text!r}")
+    return Fraction(int(num), int(den))
 
 
-def _int_list(values) -> str:
-    return ",".join(str(v) for v in values)
+INT = Codec(str, int)
+TEXT = Codec(str, str)
+FRAC = Codec(_show_frac, _read_frac)
+INT_LIST = Codec(
+    lambda values: ",".join(map(str, values)),
+    lambda text: tuple(map(int, text.split(","))),
+)
+FRAC_LIST = Codec(
+    lambda values: ",".join(map(_show_frac, values)),
+    lambda text: tuple(map(_read_frac, text.split(","))),
+)
+
+
+# Rows (key, codec, getter) in writing order, and the constructor that builds
+# the object from the decoded values keyed by field name.
+DocumentKind = namedtuple("DocumentKind", "name fields build")
+
+
+POINT = DocumentKind(
+    "point-certificate",
+    (
+        ("version", INT, attrgetter("version")),
+        ("kind", TEXT, lambda _: POINT.name),
+        ("mode", TEXT, attrgetter("mode")),
+        ("primality", TEXT, attrgetter("primality_method")),
+        ("target", FRAC_LIST, attrgetter("target.coords")),
+        ("eps", FRAC, attrgetter("eps")),
+        ("chain", INT_LIST, attrgetter("chain.a")),
+        ("congruence-residue", INT, attrgetter("congruence.residue")),
+        ("congruence-modulus", INT, attrgetter("congruence.modulus")),
+        ("prime-floor", INT, attrgetter("prime_floor")),
+        ("p", INT, attrgetter("witness.p")),
+        ("witness", INT_LIST, attrgetter("witness.x")),
+        ("errors", FRAC_LIST, attrgetter("errors")),
+        ("max-error", FRAC, attrgetter("max_error")),
+    ),
+    lambda v: Certificate(
+        TargetPoint(v["target"]), v["eps"], Chain(v["chain"]),
+        CongruenceClass(v["congruence-residue"], v["congruence-modulus"]),
+        v["prime-floor"], WitnessPoint(v["p"], v["witness"]), v["errors"],
+        v["max-error"], v["primality"], v["mode"], v["version"],
+    ),
+)
+
+# The inner point certificate is no row: it follows as the "inner:" block.
+POLY = DocumentKind(
+    "poly-certificate",
+    (
+        ("version", INT, lambda _: CERTIFICATE_VERSION),
+        ("kind", TEXT, lambda _: POLY.name),
+        ("degree", INT, attrgetter("f.degree")),
+        ("coeffs", INT_LIST, attrgetter("f.coeffs")),
+        ("alphas", FRAC_LIST, attrgetter("alphas.coords")),
+        ("eps", FRAC, attrgetter("eps")),
+        ("root-precision", FRAC, attrgetter("root_precision")),
+        ("root-targets", FRAC_LIST, attrgetter("root_targets.coords")),
+        ("values", FRAC_LIST, attrgetter("values")),
+        ("errors", FRAC_LIST, attrgetter("errors")),
+    ),
+    lambda v: PolyCertificate(
+        MonicPolynomial(v["degree"], v["coeffs"]), TargetPoint(v["alphas"]), v["eps"],
+        TargetPoint(v["root-targets"]), v["root-precision"], v["inner"], v["values"],
+        v["errors"],
+    ),
+)
+
+REPORT = DocumentKind(
+    "discrepancy-report",
+    (
+        ("version", INT, lambda _: CERTIFICATE_VERSION),
+        ("kind", TEXT, lambda _: REPORT.name),
+        ("p", INT, attrgetter("p")),
+        ("n", INT, attrgetter("n")),
+        ("k", INT, attrgetter("k")),
+        ("total", INT, attrgetter("total")),
+        ("counts", INT_LIST, attrgetter("counts")),
+        ("sup-deviation", FRAC, attrgetter("sup_deviation")),
+        ("mean-abs-deviation", FRAC, attrgetter("mean_abs_deviation")),
+    ),
+    lambda v: DiscrepancyReport(
+        v["p"], v["n"], v["k"], v["total"], v["counts"], v["sup-deviation"],
+        v["mean-abs-deviation"],
+    ),
+)
+
+_KINDS = {kind.name: kind for kind in (POINT, POLY, REPORT)}
+
+
+def _write(kind: DocumentKind, obj, indent: str = "") -> str:
+    return "".join(
+        f"{indent}{key}: {codec.show(get(obj))}\n" for key, codec, get in kind.fields
+    )
 
 
 def serialize_certificate(cert: Certificate) -> str:
-    lines = [
-        f"version: {cert.version}",
-        f"kind: {POINT_KIND}",
-        f"mode: {cert.mode}",
-        f"primality: {cert.primality_method}",
-        f"target: {_frac_list(cert.target.coords)}",
-        f"eps: {_frac(cert.eps)}",
-        f"chain: {_int_list(cert.chain.a)}",
-        f"congruence-residue: {cert.congruence.residue}",
-        f"congruence-modulus: {cert.congruence.modulus}",
-        f"prime-floor: {cert.prime_floor}",
-        f"p: {cert.witness.p}",
-        f"witness: {_int_list(cert.witness.x)}",
-        f"errors: {_frac_list(cert.errors)}",
-        f"max-error: {_frac(cert.max_error)}",
-    ]
-    return "\n".join(lines) + "\n"
+    return _write(POINT, cert)
 
 
 def serialize_poly_certificate(cert: PolyCertificate) -> str:
-    lines = [
-        f"version: {CERTIFICATE_VERSION}",
-        f"kind: {POLY_KIND}",
-        f"degree: {cert.f.degree}",
-        f"coeffs: {_int_list(cert.f.coeffs)}",
-        f"alphas: {_frac_list(cert.alphas.coords)}",
-        f"eps: {_frac(cert.eps)}",
-        f"root-precision: {_frac(cert.root_precision)}",
-        f"root-targets: {_frac_list(cert.root_targets.coords)}",
-        f"values: {_frac_list(cert.values)}",
-        f"errors: {_frac_list(cert.errors)}",
-        "inner:",
-    ]
-    lines += ["  " + line for line in serialize_certificate(cert.inner).splitlines()]
-    return "\n".join(lines) + "\n"
+    return _write(POLY, cert) + "inner:\n" + _write(POINT, cert.inner, "  ")
 
 
 def serialize_report(report: DiscrepancyReport) -> str:
-    lines = [
-        f"version: {CERTIFICATE_VERSION}",
-        f"kind: {REPORT_KIND}",
-        f"p: {report.p}",
-        f"n: {report.n}",
-        f"k: {report.k}",
-        f"total: {report.total}",
-        f"counts: {_int_list(report.counts)}",
-        f"sup-deviation: {_frac(report.sup_deviation)}",
-        f"mean-abs-deviation: {_frac(report.mean_abs_deviation)}",
-    ]
-    return "\n".join(lines) + "\n"
+    return _write(REPORT, report)
 
 
 def _split_block(lines: list) -> tuple[dict, list | None]:
@@ -113,151 +171,57 @@ def _split_block(lines: list) -> tuple[dict, list | None]:
     return fields, inner
 
 
-def _take(fields: dict, key: str) -> str:
-    try:
-        return fields.pop(key)
-    except KeyError:
-        raise CertificateFormatError(f"missing field: {key}") from None
-
-
-def _parse_int(text: str, key: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise CertificateFormatError(f"field {key}: not an integer: {text!r}") from None
-
-
-def _parse_frac(text: str, key: str) -> Fraction:
-    num, sep, den = text.partition("/")
-    if not sep:
-        raise CertificateFormatError(f"field {key}: expected num/den, got {text!r}")
-    try:
-        return Fraction(int(num), int(den))
-    except (ValueError, ZeroDivisionError):
-        raise CertificateFormatError(f"field {key}: bad fraction {text!r}") from None
-
-
-def _parse_int_list(text: str, key: str) -> tuple[int, ...]:
-    return tuple(_parse_int(part, key) for part in text.split(","))
-
-
-def _parse_frac_list(text: str, key: str) -> tuple[Fraction, ...]:
-    return tuple(_parse_frac(part, key) for part in text.split(","))
-
-
-def _finish(fields: dict, kind: str) -> None:
-    if fields:
+def _read(kind: DocumentKind, fields: dict, inner: Certificate | None = None) -> Any:
+    """Decode every row of `kind` from the raw fields, build the object, and
+    require each raw field to be its canonical encoding."""
+    values: dict[str, Any] = {"inner": inner}
+    unknown = fields.keys() - {key for key, _, _ in kind.fields}
+    if unknown:
         raise CertificateFormatError(
-            f"unexpected fields in {kind}: {', '.join(sorted(fields))}"
+            f"unexpected fields in {kind.name}: {', '.join(sorted(unknown))}"
         )
-
-
-def _check_version(fields: dict) -> int:
-    version = _parse_int(_take(fields, "version"), "version")
-    if version != CERTIFICATE_VERSION:
-        raise CertificateFormatError(f"unsupported version: {version}")
-    return version
-
-
-def _build_certificate(fields: dict) -> Certificate:
-    version = _check_version(fields)
+    for key, codec, _ in kind.fields:
+        if key not in fields:
+            raise CertificateFormatError(f"missing field: {key}")
+        try:
+            values[key] = codec.read(fields[key])
+        except (ValueError, ZeroDivisionError):
+            raise CertificateFormatError(f"field {key}: bad value {fields[key]!r}") from None
+    if values["version"] != CERTIFICATE_VERSION:
+        raise CertificateFormatError(f"unsupported version: {fields['version']}")
     try:
-        return Certificate(
-            target=TargetPoint(_parse_frac_list(_take(fields, "target"), "target")),
-            eps=_parse_frac(_take(fields, "eps"), "eps"),
-            chain=Chain(_parse_int_list(_take(fields, "chain"), "chain")),
-            congruence=CongruenceClass(
-                _parse_int(_take(fields, "congruence-residue"), "congruence-residue"),
-                _parse_int(_take(fields, "congruence-modulus"), "congruence-modulus"),
-            ),
-            prime_floor=_parse_int(_take(fields, "prime-floor"), "prime-floor"),
-            witness=WitnessPoint(
-                _parse_int(_take(fields, "p"), "p"),
-                _parse_int_list(_take(fields, "witness"), "witness"),
-            ),
-            errors=_parse_frac_list(_take(fields, "errors"), "errors"),
-            max_error=_parse_frac(_take(fields, "max-error"), "max-error"),
-            primality_method=_take(fields, "primality"),
-            mode=_take(fields, "mode"),
-            version=version,
-        )
+        obj = kind.build(values)
     except ValueError as exc:
         raise CertificateFormatError(str(exc)) from None
-
-
-def _build_poly_certificate(fields: dict, inner_lines: list | None) -> PolyCertificate:
-    _check_version(fields)
-    if inner_lines is None:
-        raise CertificateFormatError("poly certificate lacks the inner block")
-    inner_fields, nested = _split_block(inner_lines)
-    if nested is not None:
-        raise CertificateFormatError("unexpected nested inner block")
-    if _take(inner_fields, "kind") != POINT_KIND:
-        raise CertificateFormatError("inner block is not a point certificate")
-    inner = _build_certificate(inner_fields)
-    _finish(inner_fields, "inner certificate")
-    try:
-        return PolyCertificate(
-            f=MonicPolynomial(
-                _parse_int(_take(fields, "degree"), "degree"),
-                _parse_int_list(_take(fields, "coeffs"), "coeffs"),
-            ),
-            alphas=TargetPoint(_parse_frac_list(_take(fields, "alphas"), "alphas")),
-            eps=_parse_frac(_take(fields, "eps"), "eps"),
-            root_targets=TargetPoint(
-                _parse_frac_list(_take(fields, "root-targets"), "root-targets")
-            ),
-            root_precision=_parse_frac(
-                _take(fields, "root-precision"), "root-precision"
-            ),
-            inner=inner,
-            values=_parse_frac_list(_take(fields, "values"), "values"),
-            errors=_parse_frac_list(_take(fields, "errors"), "errors"),
-        )
-    except ValueError as exc:
-        raise CertificateFormatError(str(exc)) from None
-
-
-def _build_report(fields: dict) -> DiscrepancyReport:
-    _check_version(fields)
-    try:
-        return DiscrepancyReport(
-            p=_parse_int(_take(fields, "p"), "p"),
-            n=_parse_int(_take(fields, "n"), "n"),
-            k=_parse_int(_take(fields, "k"), "k"),
-            total=_parse_int(_take(fields, "total"), "total"),
-            counts=_parse_int_list(_take(fields, "counts"), "counts"),
-            sup_deviation=_parse_frac(_take(fields, "sup-deviation"), "sup-deviation"),
-            mean_abs_deviation=_parse_frac(
-                _take(fields, "mean-abs-deviation"), "mean-abs-deviation"
-            ),
-        )
-    except ValueError as exc:
-        raise CertificateFormatError(str(exc)) from None
+    for key, codec, get in kind.fields:
+        if codec.show(get(obj)) != fields[key]:
+            raise CertificateFormatError(f"field {key}: not canonical: {fields[key]!r}")
+    return obj
 
 
 def parse_document(text: str):
     """Parse a serialized document; returns a Certificate, PolyCertificate or
     DiscrepancyReport depending on its kind field."""
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
+    if not text.strip():
         raise CertificateFormatError("empty document")
-    fields, inner_lines = _split_block(lines)
-    kind = _take(fields, "kind")
-    if kind == POINT_KIND:
-        if inner_lines is not None:
-            raise CertificateFormatError("point certificate with an inner block")
-        result = _build_certificate(fields)
-    elif kind == POLY_KIND:
-        result = _build_poly_certificate(fields, inner_lines)
-    elif kind == REPORT_KIND:
-        if inner_lines is not None:
-            raise CertificateFormatError("report with an inner block")
-        result = _build_report(fields)
-    else:
-        raise CertificateFormatError(f"unknown kind: {kind!r}")
-    _finish(fields, kind)
-    return result
+    # no reference to the line list outlives the split (keeps the peak heap low)
+    fields, inner_lines = _split_block([line for line in text.splitlines() if line.strip()])
+    kind = _KINDS.get(fields.get("kind"))
+    if kind is None:
+        raise CertificateFormatError(f"missing or unknown kind: {fields.get('kind')!r}")
+    inner = None
+    if kind is POLY:
+        if inner_lines is None:
+            raise CertificateFormatError("poly certificate lacks the inner block")
+        inner_fields, nested = _split_block(inner_lines)
+        if nested is not None:
+            raise CertificateFormatError("unexpected nested inner block")
+        if inner_fields.get("kind") != POINT.name:
+            raise CertificateFormatError("inner block is not a point certificate")
+        inner = _read(POINT, inner_fields)
+    elif inner_lines is not None:
+        raise CertificateFormatError(f"{kind.name} with an inner block")
+    return _read(kind, fields, inner)
 
 
 def parse_certificate(text: str):

@@ -18,6 +18,8 @@ from .arith import next_prime
 from .errors import EscalationExhausted, NoCandidate
 from .search import find_coprime_numerator, find_denominator_for_prime
 
+MODES = ("search", "faithful")
+
 
 @dataclass(frozen=True)
 class TargetPoint:
@@ -74,7 +76,7 @@ class BuilderConfig:
     max_escalations: int = 40
 
     def __post_init__(self) -> None:
-        if self.mode not in ("search", "faithful"):
+        if self.mode not in MODES:
             raise ValueError("mode must be 'search' or 'faithful'")
         if self.start_prime_floor < 2:
             raise ValueError("start_prime_floor must be at least 2")

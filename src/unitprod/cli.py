@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import certio
 from .arith import is_prime, jacobsthal, next_prime_in_ap
-from .chain import BuilderConfig, Chain, TargetPoint, build_chain, chain_is_valid
+from .chain import MODES, BuilderConfig, Chain, TargetPoint, build_chain, chain_is_valid
 from .errors import CertificateFormatError, UnitprodError
 from .lab import box_discrepancy, enumerate_points
 from .lift import (
@@ -57,7 +57,7 @@ def _target(text: str) -> TargetPoint:
 
 def _int_list(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(","))
+        return certio.INT_LIST.read(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}") from None
 
@@ -66,28 +66,16 @@ def _config(args: argparse.Namespace) -> BuilderConfig:
     return BuilderConfig(mode=args.mode, start_prime_floor=args.start_floor)
 
 
-def _frac_list(values) -> str:
-    return ",".join(f"{v.numerator}/{v.denominator}" for v in values)
+def _approx_hint(key: str, value: Fraction) -> str:
+    return f"{key}-approx: {float(value):.3g}"
 
 
-def _ints(values) -> str:
-    return ",".join(str(v) for v in values)
-
-
-def _print_certificate_text(cert: Certificate) -> None:
-    print(f"target: {_frac_list(cert.target.coords)}")
-    print(f"eps: {cert.eps}")
-    print(f"mode: {cert.mode}")
-    if cert.target.n == 2:
-        print("note: dimension 2 sits outside the main density statement")
-    print(f"chain: {_ints(cert.chain.a)}")
-    print(f"congruence: p = {cert.congruence}")
-    print(f"prime-floor: {cert.prime_floor}")
-    print(f"p: {cert.witness.p} ({cert.primality_method})")
-    print(f"witness: {_ints(cert.witness.x)}")
-    print(f"point: {_frac_list(cert.witness.point)}")
-    print(f"errors: {_frac_list(cert.errors)}")
-    print(f"max-error: {cert.max_error} (~{float(cert.max_error):.3g})")
+def _emit(document: str, hints: list[str], fmt: str) -> None:
+    """Print the document; the text format follows it with hint lines, whose
+    keys are never document keys."""
+    sys.stdout.write(document)
+    if fmt == "text":
+        sys.stdout.write("".join(hint + "\n" for hint in hints))
 
 
 def _write_out(document: str, path: str | None) -> None:
@@ -99,10 +87,11 @@ def _write_out(document: str, path: str | None) -> None:
 def _cmd_approx(args: argparse.Namespace) -> int:
     cert = approximate(args.target, args.eps, _config(args))
     document = certio.serialize_certificate(cert)
-    if args.format == "structured":
-        sys.stdout.write(document)
-    else:
-        _print_certificate_text(cert)
+    hints = [f"point: {certio.FRAC_LIST.show(cert.witness.point)}"]
+    if cert.target.n == 2:
+        hints.append("note: dimension 2 sits outside the main density statement")
+    hints.append(_approx_hint("max-error", cert.max_error))
+    _emit(document, hints, args.format)
     _write_out(document, args.out)
     return EXIT_OK
 
@@ -111,18 +100,18 @@ def _cmd_chain(args: argparse.Namespace) -> int:
     chain = build_chain(args.target, args.eps, _config(args))
     fractions = chain.fractions
     errors = [abs(t - f) for t, f in zip(args.target.coords, fractions)]
-    print(f"target: {_frac_list(args.target.coords)}")
+    print(f"target: {certio.FRAC_LIST.show(args.target.coords)}")
     print(f"eps: {args.eps}")
-    print(f"chain: {_ints(chain.a)}")
-    print(f"point: {_frac_list(fractions)}")
-    print(f"errors: {_frac_list(errors)}")
+    print(f"chain: {certio.INT_LIST.show(chain.a)}")
+    print(f"point: {certio.FRAC_LIST.show(fractions)}")
+    print(f"errors: {certio.FRAC_LIST.show(errors)}")
     print(f"max-error: {max(errors)}")
     return EXIT_OK
 
 
 def _cmd_lift(args: argparse.Namespace) -> int:
     if not chain_is_valid(args.chain):
-        raise UnitprodError(f"chain {_ints(args.chain)} is not valid")
+        raise UnitprodError(f"chain {certio.INT_LIST.show(args.chain)} is not valid")
     chain = Chain(args.chain)
     congruence = dirichlet_residue(chain)
     range_floor = min_prime_for_error(chain, 1)
@@ -138,12 +127,12 @@ def _cmd_lift(args: argparse.Namespace) -> int:
         p = next_prime_in_ap(congruence, max(args.min_p, range_floor))
     witness = lift_chain(chain, p)
     gaps = [abs(f - v) for f, v in zip(chain.fractions, witness.point)]
-    print(f"chain: {_ints(chain.a)}")
+    print(f"chain: {certio.INT_LIST.show(chain.a)}")
     print(f"congruence: p = {congruence}")
     print(f"p: {p}")
-    print(f"witness: {_ints(witness.x)}")
-    print(f"point: {_frac_list(witness.point)}")
-    print(f"gaps-to-chain: {_frac_list(gaps)}")
+    print(f"witness: {certio.INT_LIST.show(witness.x)}")
+    print(f"point: {certio.FRAC_LIST.show(witness.point)}")
+    print(f"gaps-to-chain: {certio.FRAC_LIST.show(gaps)}")
     return EXIT_OK
 
 
@@ -153,18 +142,7 @@ def _cmd_poly(args: argparse.Namespace) -> int:
     f = MonicPolynomial(args.degree, args.coeffs)
     cert = approximate_polynomial(f, args.target, args.eps, _config(args))
     document = certio.serialize_poly_certificate(cert)
-    if args.format == "structured":
-        sys.stdout.write(document)
-    else:
-        print(f"degree: {f.degree}")
-        print(f"coeffs: {_ints(f.coeffs)}")
-        print(f"alphas: {_frac_list(cert.alphas.coords)}")
-        print(f"eps: {cert.eps}")
-        print(f"p: {cert.inner.witness.p}")
-        print(f"witness: {_ints(cert.inner.witness.x)}")
-        print(f"values: {_frac_list(cert.values)}")
-        print(f"errors: {_frac_list(cert.errors)}")
-        print(f"max-error: {max(cert.errors)}")
+    _emit(document, [_approx_hint("max-error", max(cert.errors))], args.format)
     _write_out(document, args.out)
     return EXIT_OK
 
@@ -190,26 +168,15 @@ def _cmd_discrepancy(args: argparse.Namespace) -> int:
     primes = list(args.p_list) if args.p_list else [args.p]
     if not primes or primes == [None]:
         raise UnitprodError("provide --p or --p-list")
-    first = True
-    for p in primes:
+    for i, p in enumerate(primes):
         report = box_discrepancy(p, args.n, args.k)
-        if args.format == "structured":
-            if not first:
-                print()
-            sys.stdout.write(certio.serialize_report(report))
-        else:
-            if not first:
-                print()
-            print(f"p: {report.p}  n: {report.n}  k: {report.k}  total: {report.total}")
-            print(f"counts: {_ints(report.counts)}")
-            print(
-                f"sup-deviation: {report.sup_deviation} (~{float(report.sup_deviation):.3g})"
-            )
-            print(
-                f"mean-abs-deviation: {report.mean_abs_deviation}"
-                f" (~{float(report.mean_abs_deviation):.3g})"
-            )
-        first = False
+        if i:
+            print()
+        hints = [
+            _approx_hint("sup-deviation", report.sup_deviation),
+            _approx_hint("mean-abs-deviation", report.mean_abs_deviation),
+        ]
+        _emit(certio.serialize_report(report), hints, args.format)
     return EXIT_OK
 
 
@@ -243,7 +210,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _add_builder_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--mode", choices=("search", "faithful"), default="search",
+        "--mode", choices=MODES, default="search",
         help="construction mode (default: search)",
     )
     parser.add_argument(

@@ -21,10 +21,6 @@ class InputTooLarge(UnitprodError):
     """An exact computation would exceed its scan budget."""
 
 
-class FactorizationTooHard(UnitprodError):
-    """Factoring exceeded the configured effort budget."""
-
-
 class NoCandidate(UnitprodError):
     """No admissible fraction exists for the given constraints."""
 

@@ -97,14 +97,14 @@ def nearest_point_distance(
     point, as an exact fraction."""
     if target.n != n:
         raise ValueError("target dimension does not match n")
-    best: Fraction | None = None
+    # every distance is below 1, and there is at least one point
+    best = Fraction(1)
     for witness in enumerate_points(p, n, budget):
         dist = max(
             abs(t - Fraction(x, p)) for t, x in zip(target.coords, witness.x)
         )
-        if best is None or dist < best:
+        if dist < best:
             best = dist
             if best == 0:
                 break
-    assert best is not None  # (p-1)^(n-1) >= 1, the loop always runs
     return best

@@ -27,6 +27,7 @@ from .arith import (
 )
 from .chain import (
     DEFAULT_CONFIG,
+    MODES,
     BuilderConfig,
     Chain,
     TargetPoint,
@@ -159,7 +160,8 @@ def approximate(
         abs(t - Fraction(x, p)) for t, x in zip(target.coords, witness.x)
     )
     max_error = max(errors)
-    assert max_error < eps  # guaranteed by the eps/2 + eps/2 split
+    if max_error >= eps:  # excluded by the eps/2 + eps/2 split
+        raise RuntimeError(f"lift at p={p} misses eps: max error {max_error}")
     return Certificate(
         target=target,
         eps=eps,
@@ -180,6 +182,8 @@ def check_certificate(cert: Certificate) -> str | None:
     all hold, else a short reason code for the first failure."""
     if cert.version != CERTIFICATE_VERSION:
         return "version-unknown"
+    if cert.mode not in MODES:
+        return "mode-unknown"
     n = cert.target.n
     if cert.chain.n != n or len(cert.witness.x) != n or len(cert.errors) != n:
         return "dimension-mismatch"
@@ -196,6 +200,8 @@ def check_certificate(cert: Certificate) -> str | None:
         return "prime-below-floor"
     if not is_prime(p):
         return "p-not-prime"
+    if cert.primality_method != primality_method(p):
+        return "primality-method-mismatch"
     if not cert.congruence.contains(p):
         return "p-not-in-class"
     try:

@@ -126,7 +126,8 @@ def approximate_polynomial(
     p_power = p**d
     values = tuple(Fraction(poly_eval(f, x), p_power) for x in inner.witness.x)
     errors = tuple(abs(v - a) for v, a in zip(values, alphas.coords))
-    assert max(errors) < eps  # guaranteed by the budget split and prime floor
+    if max(errors) >= eps:  # excluded by the budget split and prime floor
+        raise RuntimeError(f"witness at p={p} misses eps: max error {max(errors)}")
     return PolyCertificate(
         f=f,
         alphas=alphas,

@@ -2,7 +2,6 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
 
 from unitprod.arith import (
     CongruenceClass,
@@ -10,48 +9,21 @@ from unitprod.arith import (
     Factorization,
     crt,
     factorize,
-    gcd,
     is_prime,
     jacobsthal,
     mod_inverse,
-    next_prime,
     next_prime_in_ap,
     primality_method,
     strict_ceil,
     strict_floor,
 )
 from unitprod.errors import (
-    FactorizationTooHard,
     InputTooLarge,
     ModuliNotCoprime,
     NotCoprime,
     SearchExhausted,
 )
 from fractions import Fraction
-
-
-# ---------------------------------------------------------------- gcd
-
-def test_gcd_examples():
-    assert gcd(12, 18) == 6
-    assert gcd(7, 1) == 1
-    assert gcd(0, 5) == 5
-    assert gcd(0, 0) == 0
-
-
-@given(st.integers(-10**9, 10**9), st.integers(-10**9, 10**9))
-def test_gcd_divides_both(a, b):
-    g = gcd(a, b)
-    if g == 0:
-        assert a == 0 and b == 0
-    else:
-        assert a % g == 0 and b % g == 0
-
-
-@given(st.integers(1, 10**6), st.integers(1, 10**6), st.integers(1, 100))
-def test_common_divisors_divide_gcd(a, b, d):
-    g = gcd(a * d, b * d)
-    assert g % d == 0
 
 
 # ---------------------------------------------------------------- strict floor/ceil
@@ -230,17 +202,13 @@ def test_factorize_random():
         assert fac.omega == len(fac.prime_powers)
 
 
-def test_factorize_rho_path():
+def test_factorize_beyond_trial_limit():
     p, q = 1_000_003, 1_000_033  # both prime, both above the trial limit
-    fac = factorize(p * q)
-    assert fac.prime_powers == ((p, 1), (q, 1))
-
-
-def test_factorize_budget():
-    p = next_prime(10**15)
-    q = next_prime(p + 1)
-    with pytest.raises(FactorizationTooHard):
-        factorize(p * q, rho_budget=10)
+    with pytest.raises(InputTooLarge):
+        factorize(p * q)
+    # a single prime cofactor above the limit is recognised as prime
+    big = 10**13 + 37
+    assert factorize(8 * big).prime_powers == ((2, 3), (big, 1))
 
 
 # ---------------------------------------------------------------- jacobsthal

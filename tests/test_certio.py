@@ -102,3 +102,20 @@ def test_poly_requires_inner_block(poly_cert):
     )
     with pytest.raises(CertificateFormatError):
         parse_document(headless + "\n")
+
+
+@pytest.mark.parametrize(
+    "canonical, variant",
+    [
+        ("p: 29", "p: 2_9"),
+        ("eps: 1/5", "eps: -1/-5"),
+        ("eps: 1/5", "eps: 2/10"),
+        ("congruence-residue: 29", "congruence-residue: 59"),
+        ("witness: 17,20,18", "witness: +17, 20,018"),
+    ],
+)
+def test_parse_rejects_non_canonical_encodings(point_cert, canonical, variant):
+    document = serialize_certificate(point_cert)
+    assert canonical + "\n" in document
+    with pytest.raises(CertificateFormatError):
+        parse_document(document.replace(canonical + "\n", variant + "\n"))

@@ -184,3 +184,39 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as info:
         main(["approx", "--target", "1/2,3/2", "--eps", "1/5"])  # outside cube
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "canonical, variant",
+    [
+        ("p: 29", "p: 2_9"),
+        ("eps: 1/5", "eps: -1/-5"),
+        ("eps: 1/5", "eps: 2/10"),
+        ("congruence-residue: 29", "congruence-residue: 59"),
+        ("witness: 17,20,18", "witness: +17, 20,018"),
+        ("primality: miller-rabin-deterministic", "primality: pratt-proof"),
+        ("mode: search", "mode: anything goes"),
+    ],
+)
+def test_verify_rejects_edited_fields(tmp_path, capsys, canonical, variant):
+    cert_path = tmp_path / "point.cert"
+    run(capsys, "approx", "--target", "1/2,2/3,3/5", "--eps", "1/5", "--out", str(cert_path))
+    text = cert_path.read_text()
+    assert canonical + "\n" in text
+    cert_path.write_text(text.replace(canonical + "\n", variant + "\n"))
+    code, out, _ = run(capsys, "verify", "--cert", str(cert_path))
+    assert code == 1
+    assert out.startswith("invalid certificate: ")
+
+
+def test_text_format_is_document_plus_hints(capsys):
+    argv = ("approx", "--target", "1/3,2/5", "--eps", "1/10")
+    code, document, _ = run(capsys, *argv, "--format", "structured")
+    assert code == 0
+    code, text, _ = run(capsys, *argv)
+    assert code == 0
+    assert text.startswith(document)
+    document_keys = {line.partition(": ")[0] for line in document.splitlines()}
+    hint_keys = [line.partition(": ")[0] for line in text[len(document):].splitlines()]
+    assert hint_keys == ["point", "note", "max-error-approx"]
+    assert not document_keys & set(hint_keys)

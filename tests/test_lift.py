@@ -6,6 +6,7 @@ import pytest
 
 from unitprod.arith import CongruenceClass, is_prime
 from unitprod.chain import Chain, TargetPoint
+from unitprod import lift
 from unitprod.errors import CongruenceViolated
 from unitprod.lift import (
     WitnessPoint,
@@ -234,6 +235,25 @@ def test_verify_detects_tampering():
         "prime-floor-below-error-bound",
         "max-error-exceeds-eps",
     )
+
+
+def test_verify_checks_primality_tag():
+    cert = approximate(TARGET, Fraction(1, 5))
+    tampered = dataclasses.replace(cert, primality_method="pratt-proof")
+    assert check_certificate(tampered) == "primality-method-mismatch"
+
+
+def test_verify_checks_mode_tag():
+    cert = approximate(TARGET, Fraction(1, 5))
+    tampered = dataclasses.replace(cert, mode="anything goes")
+    assert check_certificate(tampered) == "mode-unknown"
+
+
+def test_approximate_guard_survives_without_asserts(monkeypatch):
+    # a prime floor of 2 lifts 1,2,3,5 at p=29, 5/58 away from the target
+    monkeypatch.setattr(lift, "min_prime_for_error", lambda chain, delta: 2)
+    with pytest.raises(RuntimeError):
+        approximate(TARGET, Fraction(1, 100))
 
 
 def test_verify_random_end_to_end():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from unitprod import poly
 from unitprod.chain import TargetPoint
 from unitprod.poly import (
     MonicPolynomial,
@@ -149,6 +150,13 @@ def test_poly_verify_detects_tampering():
     inner = dataclasses.replace(cert.inner, max_error=Fraction(1, 10**9))
     tampered = dataclasses.replace(cert, inner=inner)
     assert check_poly_certificate(tampered) == "inner-max-error-mismatch"
+
+
+def test_poly_guard_survives_without_asserts(monkeypatch):
+    # an inner tolerance of 1 leaves the values far from the targets
+    monkeypatch.setattr(poly, "_inner_eps", lambda eps, d: Fraction(1))
+    with pytest.raises(RuntimeError):
+        approximate_polynomial(MonicPolynomial(2, (1, 0)), HALVES, Fraction(1, 10))
 
 
 def test_poly_validation():
