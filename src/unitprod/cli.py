@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 from fractions import Fraction
 
@@ -235,13 +236,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_builder_flags(approx)
     approx.add_argument("--out", metavar="FILE", help="write the certificate here")
     approx.add_argument("--format", choices=("text", "structured"), default="text")
-    approx.set_defaults(func=_cmd_approx)
 
     chain = sub.add_parser("chain", help="chain construction only")
     chain.add_argument("--target", type=_target, required=True, metavar="X1,X2,...")
     chain.add_argument("--eps", type=_eps, required=True, metavar="EPS")
     _add_builder_flags(chain)
-    chain.set_defaults(func=_cmd_chain)
 
     lift = sub.add_parser("lift", help="lift a chain at a prime from its class")
     lift.add_argument("--chain", type=_int_list, required=True, metavar="A0,A1,...")
@@ -251,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--min-p", type=int, default=2, metavar="L", dest="min_p",
         help="search for the first admissible prime at or above L",
     )
-    lift.set_defaults(func=_cmd_lift)
 
     poly = sub.add_parser("poly", help="certificate for monic polynomial values")
     poly.add_argument("--degree", type=int, required=True, metavar="D")
@@ -264,13 +262,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_builder_flags(poly)
     poly.add_argument("--out", metavar="FILE", help="write the certificate here")
     poly.add_argument("--format", choices=("text", "structured"), default="text")
-    poly.set_defaults(func=_cmd_poly)
 
     enum = sub.add_parser("enumerate", help="list all hypersurface points for p, n")
     enum.add_argument("--p", type=int, required=True)
     enum.add_argument("--n", type=int, required=True)
     enum.add_argument("--csv", metavar="FILE", help="write CSV here instead of stdout")
-    enum.set_defaults(func=_cmd_enumerate)
 
     disc = sub.add_parser("discrepancy", help="box-counting deviation statistics")
     disc.add_argument("--p", type=int)
@@ -278,24 +274,29 @@ def build_parser() -> argparse.ArgumentParser:
     disc.add_argument("--n", type=int, required=True)
     disc.add_argument("--k", type=int, required=True)
     disc.add_argument("--format", choices=("text", "structured"), default="text")
-    disc.set_defaults(func=_cmd_discrepancy)
 
     jac = sub.add_parser("jacobsthal", help="largest gap between integers coprime to b")
     jac.add_argument("--b", type=int, required=True)
-    jac.set_defaults(func=_cmd_jacobsthal)
 
     verify = sub.add_parser("verify", help="re-check a certificate file")
     verify.add_argument("--cert", required=True, metavar="FILE")
-    verify.set_defaults(func=_cmd_verify)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main() reuses, built on its first call; parsing leaves no
+    state in it, and it holds no handler."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up per call, so a rebound handler is the one that runs
+    handler = globals()[f"_cmd_{args.command}"]
     try:
-        return args.func(args)
+        return handler(args)
     except UnitprodError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

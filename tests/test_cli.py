@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
-from unitprod.cli import main
+import unitprod
+from unitprod.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -220,3 +225,36 @@ def test_text_format_is_document_plus_hints(capsys):
     hint_keys = [line.partition(": ")[0] for line in text[len(document):].splitlines()]
     assert hint_keys == ["point", "note", "max-error-approx"]
     assert not document_keys & set(hint_keys)
+
+
+# ---------------------------------------------------------------- one process, many calls
+
+def fresh_process(*argv):
+    """Exit code and stdout of the same command in a new interpreter."""
+    src = os.path.dirname(os.path.dirname(unitprod.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-m", "unitprod", *argv],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    return done.returncode, done.stdout
+
+
+def test_successive_calls_match_fresh_processes(tmp_path, capsys):
+    good = tmp_path / "good.cert"
+    bad = tmp_path / "bad.cert"
+    run(capsys, "approx", "--target", "1/2,2/3,3/5", "--eps", "1/5", "--out", str(good))
+    bad.write_text(good.read_text().replace("witness: 17,20,18", "witness: 17,20,19"))
+    sequences = [
+        [
+            ("approx", "--target", "1/3,2/5,3/7", "--eps", "1/10", "--mode", "faithful"),
+            ("approx", "--target", "1/3,2/5,3/7", "--eps", "1/10"),
+        ],
+        [("verify", "--cert", str(bad)), ("verify", "--cert", str(good))],
+    ]
+    outcomes = [[run(capsys, *argv)[:2] for argv in sequence] for sequence in sequences]
+    assert outcomes == [[fresh_process(*argv) for argv in sequence] for sequence in sequences]
+    (faithful, search), (rejected, accepted) = outcomes
+    assert "mode: faithful" in faithful[1] and "mode: search" in search[1]
+    assert (rejected[0], accepted) == (1, (0, "valid\n"))
+    assert build_parser() is not build_parser()

@@ -1,9 +1,12 @@
 from fractions import Fraction
+from functools import cache
 from itertools import permutations, product
 
 import pytest
 
+import unitprod.lab as lab
 from unitprod.chain import TargetPoint
+from unitprod.cli import main
 from unitprod.errors import BudgetExceeded
 from unitprod.lab import box_discrepancy, enumerate_points, nearest_point_distance
 
@@ -16,6 +19,11 @@ def naive_points(p, n):
         for xs in product(range(1, p), repeat=n)
         if _product_mod(xs, p) == 1
     }
+
+
+@cache
+def naive_sorted(p, n):
+    return sorted(naive_points(p, n))
 
 
 def _product_mod(xs, p):
@@ -35,9 +43,9 @@ def test_enumerate_examples():
 
 
 def test_enumerate_matches_naive_filter():
-    for p in (2, 3, 5, 7, 11, 13):
-        for n in (2, 3):
-            assert {w.x for w in enumerate_points(p, n)} == naive_points(p, n)
+    for p in PRIMES_TO_31:
+        for n in (2, 3, 4):
+            assert [w.x for w in enumerate_points(p, n)] == naive_sorted(p, n)
 
 
 def test_enumerate_count_law():
@@ -112,3 +120,103 @@ def test_nearest_point_examples():
 def test_nearest_point_validation():
     with pytest.raises(ValueError):
         nearest_point_distance(5, 3, TargetPoint((0, 0)))
+
+
+# ---------------------------------------------------------------- brute force
+
+def naive_counts(p, n, k):
+    """Box counts of the naive point set, classified with Fractions."""
+    box = {x: int(Fraction(x, p) * k) for x in range(1, p)}
+    counts = [0] * k**n
+    for xs in naive_sorted(p, n):
+        index = 0
+        for x in xs:
+            index = index * k + box[x]
+        counts[index] += 1
+    return tuple(counts)
+
+
+def naive_distance(p, n, target):
+    gaps = [{x: abs(t - Fraction(x, p)) for x in range(1, p)} for t in target.coords]
+    return min(max(gap[x] for gap, x in zip(gaps, xs)) for xs in naive_sorted(p, n))
+
+
+def brute_force_targets(p, n):
+    """Mixed denominators, coordinates exactly 0 and 1, and an exact hit."""
+    mixed = (Fraction(1, 3), Fraction(2, 7), Fraction(5, 11), Fraction(3, 4))
+    edges = (Fraction(0), Fraction(1), Fraction(1), Fraction(0))
+    hit = naive_sorted(p, n)[len(naive_sorted(p, n)) // 2]
+    return [
+        TargetPoint(mixed[:n]),
+        TargetPoint(edges[:n]),
+        TargetPoint(tuple(Fraction(x, p) for x in hit)),
+    ]
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+@pytest.mark.parametrize("p", PRIMES_TO_31)
+def test_box_counts_match_brute_force(p, n):
+    total = (p - 1) ** (n - 1)
+    for k in (1, 2, 3, 5):
+        report = box_discrepancy(p, n, k)
+        expected = naive_counts(p, n, k)
+        assert report.counts == expected
+        assert report.total == total
+        deviations = [abs(Fraction(c, total) - Fraction(1, k**n)) for c in expected]
+        assert report.sup_deviation == max(deviations)
+        assert report.mean_abs_deviation == sum(deviations) / k**n
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+@pytest.mark.parametrize("p", PRIMES_TO_31)
+def test_nearest_point_matches_brute_force(p, n):
+    mixed, edges, hit = brute_force_targets(p, n)
+    for target in (mixed, edges):
+        assert nearest_point_distance(p, n, target) == naive_distance(p, n, target)
+    assert nearest_point_distance(p, n, hit) == 0
+
+
+# ---------------------------------------------------------------- order and validation
+
+def _no_walk():
+    raise AssertionError("the walk started before validation finished")
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: box_discrepancy(4, 1, 0, budget=1), ValueError, "k must be"),
+        (lambda: box_discrepancy(4, 1, 101, budget=100), BudgetExceeded, "k\\^n"),
+        (lambda: box_discrepancy(4, 1, 2, budget=2), ValueError, "dimension"),
+        (lambda: box_discrepancy(4, 3, 2, budget=8), ValueError, "not prime"),
+        (lambda: box_discrepancy(31, 3, 2, budget=100), BudgetExceeded, "\\(p-1\\)"),
+        (lambda: enumerate_points(4, 1, budget=1), ValueError, "dimension"),
+        (lambda: enumerate_points(4, 3, budget=1), ValueError, "not prime"),
+        (lambda: enumerate_points(31, 3, budget=100), BudgetExceeded, "\\(p-1\\)"),
+        (
+            lambda: nearest_point_distance(4, 3, TargetPoint((0, 0)), budget=1),
+            ValueError,
+            "target dimension",
+        ),
+        (
+            lambda: nearest_point_distance(4, 2, TargetPoint((0, 0)), budget=1),
+            ValueError,
+            "not prime",
+        ),
+        (
+            lambda: nearest_point_distance(31, 3, TargetPoint((0, 0, 0)), budget=100),
+            BudgetExceeded,
+            "\\(p-1\\)",
+        ),
+    ],
+)
+def test_errors_keep_their_order_and_come_first(monkeypatch, call, error, match):
+    monkeypatch.setattr(lab, "_inverses", _no_walk)
+    with pytest.raises(error, match=match):
+        call()  # enumerate_points raises here, before it is iterated
+
+
+def test_cli_enumerate_stdout_unchanged(capsys):
+    assert main(["enumerate", "--p", "7", "--n", "3"]) == 0
+    expected = "x1,x2,x3\n" + "".join(f"{a},{b},{c}\n" for a, b, c in naive_sorted(7, 3))
+    assert capsys.readouterr().out == expected
