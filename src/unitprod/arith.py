@@ -150,31 +150,31 @@ def primality_method(n: int) -> str:
     return f"miller-rabin-probabilistic-{DEFAULT_MILLER_RABIN_ROUNDS}"
 
 
-def next_prime_in_ap(
-    cls: CongruenceClass, lower: int, max_steps: int = DEFAULT_PRIME_SEARCH_STEPS
-) -> int:
+def next_prime_in_ap(cls: CongruenceClass, lower: int) -> int:
     """Smallest prime p >= lower with p in the given residue class.
 
     Scans the progression term by term. Existence is guaranteed whenever
-    gcd(residue, modulus) = 1; the step cap is purely pragmatic.
+    gcd(residue, modulus) = 1; the cap of DEFAULT_PRIME_SEARCH_STEPS terms is
+    purely pragmatic.
     """
     r, m = cls.residue, cls.modulus
     if math.gcd(r, m) != 1:
         raise NotCoprime(f"class {cls} contains at most one prime")
     lower = max(lower, 2)
     candidate = lower + (r - lower) % m
-    for _ in range(max_steps):
+    for _ in range(DEFAULT_PRIME_SEARCH_STEPS):
         if is_prime(candidate):
             return candidate
         candidate += m
     raise SearchExhausted(
-        f"no prime = {r} (mod {m}) within {max_steps} terms at or above {lower}"
+        f"no prime = {r} (mod {m}) within {DEFAULT_PRIME_SEARCH_STEPS} terms "
+        f"at or above {lower}"
     )
 
 
-def next_prime(lower: int, max_steps: int = DEFAULT_PRIME_SEARCH_STEPS) -> int:
+def next_prime(lower: int) -> int:
     """Smallest prime >= lower."""
-    return next_prime_in_ap(CongruenceClass(0, 1), lower, max_steps)
+    return next_prime_in_ap(CongruenceClass(0, 1), lower)
 
 
 def factorize(n: int) -> Factorization:

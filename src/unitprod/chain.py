@@ -19,6 +19,8 @@ from .errors import EscalationExhausted, NoCandidate
 from .search import find_coprime_numerator, find_denominator_for_prime
 
 MODES = ("search", "faithful")
+SEARCH_START_FLOOR = 3
+MAX_ESCALATIONS = 40
 
 
 @dataclass(frozen=True)
@@ -68,24 +70,13 @@ class Chain:
 
 @dataclass(frozen=True)
 class BuilderConfig:
-    """Knobs for build_chain; the defaults suit the direct search mode."""
+    """Construction mode for build_chain; the default is the direct search."""
 
     mode: str = "search"
-    start_prime_floor: int = 3
-    escalation_factor: Fraction = Fraction(2)
-    max_escalations: int = 40
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError("mode must be 'search' or 'faithful'")
-        if self.start_prime_floor < 2:
-            raise ValueError("start_prime_floor must be at least 2")
-        factor = Fraction(self.escalation_factor)
-        if factor <= 1:
-            raise ValueError("escalation_factor must exceed 1")
-        object.__setattr__(self, "escalation_factor", factor)
-        if self.max_escalations < 0:
-            raise ValueError("max_escalations must be non-negative")
 
 
 DEFAULT_CONFIG = BuilderConfig()
@@ -137,23 +128,24 @@ def build_chain(
     Determinism: identical (target, eps, config) always yields the identical
     chain. In faithful mode the starting prime floor comes from
     faithful_parameters, large enough that no step should ever fail; in the
-    default search mode it starts small and doubles on demand.
+    default search mode it starts at SEARCH_START_FLOOR. Each failed attempt
+    doubles the floor and restarts, at most MAX_ESCALATIONS times.
     """
     eps = Fraction(eps)
     if not 0 < eps <= 1:
         raise ValueError("eps must lie in (0, 1]")
-    floor = config.start_prime_floor
     if config.mode == "faithful":
-        floor = max(floor, faithful_parameters(eps, target.n)[1])
-    failures = []
-    for _ in range(config.max_escalations + 1):
+        floor = faithful_parameters(eps, target.n)[1]
+    else:
+        floor = SEARCH_START_FLOOR
+    for _ in range(MAX_ESCALATIONS + 1):
         try:
             return _attempt_chain(target, eps, floor)
         except NoCandidate as exc:
-            failures.append(str(exc))
-            floor = max(floor + 1, math.ceil(floor * config.escalation_factor))
+            last_failure = str(exc)
+            floor *= 2
     raise EscalationExhausted(
-        f"no chain after {config.max_escalations} restarts (last failure: {failures[-1]})"
+        f"no chain after {MAX_ESCALATIONS} restarts (last failure: {last_failure})"
     )
 
 

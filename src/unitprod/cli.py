@@ -64,7 +64,7 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 
 def _config(args: argparse.Namespace) -> BuilderConfig:
-    return BuilderConfig(mode=args.mode, start_prime_floor=args.start_floor)
+    return BuilderConfig(mode=args.mode)
 
 
 def _approx_hint(key: str, value: Fraction) -> str:
@@ -214,10 +214,6 @@ def _add_builder_flags(parser: argparse.ArgumentParser) -> None:
         "--mode", choices=MODES, default="search",
         help="construction mode (default: search)",
     )
-    parser.add_argument(
-        "--start-floor", type=int, default=3, metavar="N",
-        help="initial prime floor for the chain (default: 3)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -269,8 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
     enum.add_argument("--csv", metavar="FILE", help="write CSV here instead of stdout")
 
     disc = sub.add_parser("discrepancy", help="box-counting deviation statistics")
-    disc.add_argument("--p", type=int)
-    disc.add_argument("--p-list", type=_int_list, dest="p_list", metavar="P1,P2,...")
+    primes = disc.add_mutually_exclusive_group()
+    primes.add_argument("--p", type=int)
+    primes.add_argument("--p-list", type=_int_list, dest="p_list", metavar="P1,P2,...")
     disc.add_argument("--n", type=int, required=True)
     disc.add_argument("--k", type=int, required=True)
     disc.add_argument("--format", choices=("text", "structured"), default="text")

@@ -42,14 +42,16 @@ class DiscrepancyReport:
     mean_abs_deviation: Fraction
 
 
-def _check_walk(p: int, n: int, budget: int) -> None:
+def _check_walk(p: int, n: int) -> None:
     if n < 2:
         raise ValueError("dimension must be at least 2")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     total = (p - 1) ** (n - 1)
-    if total > budget:
-        raise BudgetExceeded(f"(p-1)^(n-1) = {total} exceeds the budget {budget}")
+    if total > DEFAULT_ENUMERATION_BUDGET:
+        raise BudgetExceeded(
+            f"(p-1)^(n-1) = {total} exceeds the budget {DEFAULT_ENUMERATION_BUDGET}"
+        )
 
 
 def _inverses(p: int) -> list[int]:
@@ -73,9 +75,7 @@ def _prefixes(
         yield from _prefixes(p, orders[1:], prefix + (v,), acc * v % p)
 
 
-def enumerate_points(
-    p: int, n: int, budget: int = DEFAULT_ENUMERATION_BUDGET
-) -> Iterator[WitnessPoint]:
+def enumerate_points(p: int, n: int) -> Iterator[WitnessPoint]:
     """All (p-1)^(n-1) hypersurface points: the first n-1 residues range
     freely over [1, p) in lexicographic order, the last completes the
     product to 1 mod p. Validates eagerly, streams lazily.
@@ -83,7 +83,7 @@ def enumerate_points(
     >>> [w.x for w in enumerate_points(5, 2)]
     [(1, 1), (2, 3), (3, 2), (4, 4)]
     """
-    _check_walk(p, n, budget)
+    _check_walk(p, n)
     return _generate_points(p, n)
 
 
@@ -94,9 +94,7 @@ def _generate_points(p: int, n: int) -> Iterator[WitnessPoint]:
             yield WitnessPoint(p, prefix + (v, inv[acc * v % p]))
 
 
-def box_discrepancy(
-    p: int, n: int, k: int, budget: int = DEFAULT_ENUMERATION_BUDGET
-) -> DiscrepancyReport:
+def box_discrepancy(p: int, n: int, k: int) -> DiscrepancyReport:
     """Assign each normalized point to the k-per-axis grid box
     [j/k, (j+1)/k) (top box closed; irrelevant here since x/p < 1) and
     compare box frequencies with the uniform 1/k^n.
@@ -108,9 +106,11 @@ def box_discrepancy(
     if k < 1:
         raise ValueError("k must be at least 1")
     cells = k**n
-    if cells > budget:
-        raise BudgetExceeded(f"k^n = {cells} boxes exceed the budget {budget}")
-    _check_walk(p, n, budget)
+    if cells > DEFAULT_ENUMERATION_BUDGET:
+        raise BudgetExceeded(
+            f"k^n = {cells} boxes exceed the budget {DEFAULT_ENUMERATION_BUDGET}"
+        )
+    _check_walk(p, n)
     inv = _inverses(p)
     box = [v * k // p for v in range(p)]  # box index of residue v on one axis
     row = [j * k for j in box]  # axis n-1, weighted by the last axis's k boxes
@@ -137,9 +137,7 @@ def box_discrepancy(
     )
 
 
-def nearest_point_distance(
-    p: int, n: int, target: TargetPoint, budget: int = DEFAULT_ENUMERATION_BUDGET
-) -> Fraction:
+def nearest_point_distance(p: int, n: int, target: TargetPoint) -> Fraction:
     """Smallest max-coordinate distance from the target to any enumerated
     point, as an exact fraction.
 
@@ -148,7 +146,7 @@ def nearest_point_distance(
     """
     if target.n != n:
         raise ValueError("target dimension does not match n")
-    _check_walk(p, n, budget)
+    _check_walk(p, n)
     inv = _inverses(p)
     denominator = lcm(*(t.denominator for t in target.coords))
     centres = [int(t * denominator) * p for t in target.coords]

@@ -1,10 +1,11 @@
-"""Outward searches for fractions with prescribed coprimality near a target.
+"""Searches for fractions with prescribed coprimality near a target.
 
 Both searches return the admissible fraction that minimizes the exact
 distance to the target (deterministic tie-breaking toward the smaller
 integer), or raise NoCandidate so the caller can escalate its parameters.
-The walk starts at the real minimizer and expands outward, so the first
-admissible value met is the global argmin.
+Both start at the real minimizer: the numerator search walks outward from
+it, so the first admissible value met is the global argmin; the denominator
+search needs only the two integers nearest it on each side.
 """
 
 from __future__ import annotations
@@ -98,9 +99,8 @@ def find_denominator_for_prime(
     |x - a_prime/m| < eps and a_prime/m > min_ratio.
 
     a_prime must be prime, so coprimality just means m is not a multiple of
-    it; at most two consecutive m are ever skipped. The window is capped at
-    a_prime + ceil(2*a_prime/eps), past which the ratio has fallen below
-    eps/2. Ties go to the smaller m.
+    it. The window is capped at a_prime + ceil(2*a_prime/eps), past which
+    the ratio has fallen below eps/2. Ties go to the smaller m.
     """
     x, eps, min_ratio = Fraction(x), Fraction(eps), Fraction(min_ratio)
     if not is_prime(a_prime):
@@ -124,27 +124,20 @@ def find_denominator_for_prime(
             f"eps={eps}, min_ratio={min_ratio}"
         )
 
-    # The distance |x - a_prime/m| is V-shaped in m with bottom at a_prime/x;
-    # walk outward from the bottom, clamped into the window.
+    # The distance |x - a_prime/m| is V-shaped in m with bottom at a_prime/x,
+    # and a prime never divides two consecutive m, so the best admissible m
+    # is one of the two nearest the bottom on either side, clamped into the
+    # window.
     bottom = m_hi if x == 0 else math.floor(Fraction(a_prime, 1) / x)
     lo = min(bottom, m_hi)
-    hi = lo + 1
-    if hi < m_lo:
-        hi = m_lo
-        lo = m_lo - 1
-
-    def dist(m: int) -> Fraction:
-        return abs(x - Fraction(a_prime, m))
-
-    while lo >= m_lo or hi <= m_hi:
-        if lo >= m_lo and (hi > m_hi or dist(lo) <= dist(hi)):
-            m = lo  # tie prefers the smaller denominator
-            lo -= 1
-        else:
-            m = hi
-            hi += 1
-        if m % a_prime:
-            return _candidate(a_prime, m, x)
+    hi = max(lo + 1, m_lo)
+    admissible = [m for m in (lo - 1, lo, hi, hi + 1) if m_lo <= m <= m_hi and m % a_prime]
+    if admissible:
+        # key: the distance times x's denominator; min keeps the first of
+        # equal keys, and the candidates ascend, so ties go to the smaller m
+        num, den = x.numerator, x.denominator
+        best = min(admissible, key=lambda m: Fraction(abs(num * m - a_prime * den), m))
+        return _candidate(a_prime, best, x)
     raise NoCandidate(
         f"only multiples of {a_prime} in the window for x={x}, eps={eps}, "
         f"min_ratio={min_ratio}"

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from unitprod import arith
 from unitprod.arith import (
     CongruenceClass,
     DETERMINISTIC_PRIMALITY_BOUND,
@@ -171,11 +172,12 @@ def test_next_prime_in_ap_properties():
             q += m
 
 
-def test_next_prime_in_ap_errors():
+def test_next_prime_in_ap_errors(monkeypatch):
     with pytest.raises(NotCoprime):
         next_prime_in_ap(CongruenceClass(2, 4), 10)
-    with pytest.raises(SearchExhausted):
-        next_prime_in_ap(CongruenceClass(1, 10**6), 2, max_steps=1)
+    monkeypatch.setattr(arith, "DEFAULT_PRIME_SEARCH_STEPS", 1)
+    with pytest.raises(SearchExhausted, match="within 1 terms"):
+        next_prime_in_ap(CongruenceClass(1, 10**6), 2)
 
 
 # ---------------------------------------------------------------- factorize

@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from unitprod import chain as chain_module
 from unitprod.arith import is_prime, next_prime
 from unitprod.chain import (
+    MAX_ESCALATIONS,
     BuilderConfig,
     Chain,
     TargetPoint,
@@ -47,10 +49,6 @@ def test_chain_shape():
 def test_builder_config_validation():
     with pytest.raises(ValueError):
         BuilderConfig(mode="other")
-    with pytest.raises(ValueError):
-        BuilderConfig(escalation_factor=1)
-    with pytest.raises(ValueError):
-        BuilderConfig(start_prime_floor=1)
 
 
 # ---------------------------------------------------------------- chain_is_valid
@@ -67,7 +65,7 @@ def test_chain_is_valid_examples():
 
 def test_build_chain_worked_example():
     target = TargetPoint((Fraction(1, 2), Fraction(2, 3), Fraction(3, 5)))
-    chain = build_chain(target, Fraction(1, 10), BuilderConfig(start_prime_floor=3))
+    chain = build_chain(target, Fraction(1, 10))
     assert chain_is_valid(chain.a)
     assert all(
         abs(t - f) < Fraction(1, 10)
@@ -126,10 +124,20 @@ def test_build_chain_deterministic():
     assert first == second
 
 
-def test_build_chain_escalation_exhausted():
-    config = BuilderConfig(max_escalations=0)
-    with pytest.raises(EscalationExhausted):
-        build_chain(TargetPoint((0, 0, 0)), Fraction(1, 10), config)
+def test_build_chain_escalation_exhausted(monkeypatch):
+    attempts = []
+    attempt = chain_module._attempt_chain
+
+    def counted(*args):
+        attempts.append(args[2])
+        return attempt(*args)
+
+    monkeypatch.setattr(chain_module, "_attempt_chain", counted)
+    target = TargetPoint((Fraction(1, 2), 0, 0, 0, Fraction(1, 2)))
+    with pytest.raises(EscalationExhausted, match=f"after {MAX_ESCALATIONS} restarts"):
+        build_chain(target, Fraction(1, 1000))
+    # the floor starts at 3 and doubles before each restart
+    assert attempts == [3 * 2**i for i in range(MAX_ESCALATIONS + 1)]
 
 
 # ---------------------------------------------------------------- faithful mode

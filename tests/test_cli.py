@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -166,6 +167,13 @@ def test_discrepancy_requires_p(capsys):
     assert code == 3
 
 
+def test_discrepancy_p_and_p_list_exclusive(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["discrepancy", "--p", "7", "--p-list", "11", "--n", "2", "--k", "2"])
+    assert info.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+
+
 def test_jacobsthal_subcommand(capsys):
     code, out, _ = run(capsys, "jacobsthal", "--b", "30")
     assert code == 0
@@ -229,12 +237,12 @@ def test_text_format_is_document_plus_hints(capsys):
 
 # ---------------------------------------------------------------- one process, many calls
 
-def fresh_process(*argv):
+def fresh_process(*argv, flags=()):
     """Exit code and stdout of the same command in a new interpreter."""
     src = os.path.dirname(os.path.dirname(unitprod.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run(
-        [sys.executable, "-m", "unitprod", *argv],
+        [sys.executable, *flags, "-m", "unitprod", *argv],
         capture_output=True, text=True, env=env, check=False,
     )
     return done.returncode, done.stdout
@@ -258,3 +266,15 @@ def test_successive_calls_match_fresh_processes(tmp_path, capsys):
     assert "mode: faithful" in faithful[1] and "mode: search" in search[1]
     assert (rejected[0], accepted) == (1, (0, "valid\n"))
     assert build_parser() is not build_parser()
+
+
+def test_verify_verdicts_hold_without_asserts(tmp_path):
+    golden = Path(__file__).parent / "data" / "golden" / "point-search-n3.cert"
+    tampered = tmp_path / "tampered.cert"
+    witness = "witness: 15227750,24880830,59015190\n"
+    assert witness in golden.read_text()
+    tampered.write_text(golden.read_text().replace(witness, witness.replace("190", "191")))
+    # -O strips assert statements, so neither verdict may rest on one
+    assert fresh_process("verify", "--cert", str(golden), flags=("-O",)) == (0, "valid\n")
+    code, out = fresh_process("verify", "--cert", str(tampered), flags=("-O",))
+    assert code == 1 and out.startswith("invalid certificate: ")

@@ -57,7 +57,7 @@ def test_enumerate_count_law():
 
 def test_enumerate_budget_and_validation():
     with pytest.raises(BudgetExceeded):
-        list(enumerate_points(31, 3, budget=100))
+        list(enumerate_points(10007, 3))
     with pytest.raises(ValueError):
         list(enumerate_points(4, 2))
     with pytest.raises(ValueError):
@@ -100,7 +100,7 @@ def test_box_validation():
     with pytest.raises(ValueError):
         box_discrepancy(5, 2, 0)
     with pytest.raises(BudgetExceeded):
-        box_discrepancy(5, 2, 1000, budget=100)
+        box_discrepancy(5, 2, 10**4 + 1)
 
 
 def test_discrepancy_shrinks_with_p():
@@ -185,26 +185,26 @@ def _no_walk():
 @pytest.mark.parametrize(
     "call, error, match",
     [
-        (lambda: box_discrepancy(4, 1, 0, budget=1), ValueError, "k must be"),
-        (lambda: box_discrepancy(4, 1, 101, budget=100), BudgetExceeded, "k\\^n"),
-        (lambda: box_discrepancy(4, 1, 2, budget=2), ValueError, "dimension"),
-        (lambda: box_discrepancy(4, 3, 2, budget=8), ValueError, "not prime"),
-        (lambda: box_discrepancy(31, 3, 2, budget=100), BudgetExceeded, "\\(p-1\\)"),
-        (lambda: enumerate_points(4, 1, budget=1), ValueError, "dimension"),
-        (lambda: enumerate_points(4, 3, budget=1), ValueError, "not prime"),
-        (lambda: enumerate_points(31, 3, budget=100), BudgetExceeded, "\\(p-1\\)"),
+        (lambda: box_discrepancy(4, 1, 0), ValueError, "k must be"),
+        (lambda: box_discrepancy(4, 1, 10**8 + 1), BudgetExceeded, "k\\^n"),
+        (lambda: box_discrepancy(4, 1, 2), ValueError, "dimension"),
+        (lambda: box_discrepancy(4, 3, 2), ValueError, "not prime"),
+        (lambda: box_discrepancy(10007, 3, 2), BudgetExceeded, "\\(p-1\\)"),
+        (lambda: enumerate_points(4, 1), ValueError, "dimension"),
+        (lambda: enumerate_points(4, 3), ValueError, "not prime"),
+        (lambda: enumerate_points(10007, 3), BudgetExceeded, "\\(p-1\\)"),
         (
-            lambda: nearest_point_distance(4, 3, TargetPoint((0, 0)), budget=1),
+            lambda: nearest_point_distance(4, 3, TargetPoint((0, 0))),
             ValueError,
             "target dimension",
         ),
         (
-            lambda: nearest_point_distance(4, 2, TargetPoint((0, 0)), budget=1),
+            lambda: nearest_point_distance(4, 2, TargetPoint((0, 0))),
             ValueError,
             "not prime",
         ),
         (
-            lambda: nearest_point_distance(31, 3, TargetPoint((0, 0, 0)), budget=100),
+            lambda: nearest_point_distance(10007, 3, TargetPoint((0, 0, 0))),
             BudgetExceeded,
             "\\(p-1\\)",
         ),
