@@ -69,7 +69,7 @@ from .poly import (
     rational_root,
     verify_poly_certificate,
 )
-from .search import FractionCandidate, find_coprime_numerator, find_denominator_for_prime
+from .search import find_coprime_numerator, find_denominator_for_prime
 
 __version__ = "0.1.0"
 
@@ -84,7 +84,6 @@ __all__ = [
     "DiscrepancyReport",
     "EscalationExhausted",
     "Factorization",
-    "FractionCandidate",
     "InputTooLarge",
     "ModuliNotCoprime",
     "MonicPolynomial",

@@ -72,6 +72,14 @@ def strict_ceil(q: Fraction | int) -> int:
     return q.numerator // q.denominator + 1
 
 
+def check_eps(eps: Fraction | int | str) -> Fraction:
+    """eps as a Fraction; ValueError unless 0 < eps <= 1."""
+    eps = Fraction(eps)
+    if not 0 < eps <= 1:
+        raise ValueError("eps must lie in (0, 1]")
+    return eps
+
+
 def mod_inverse(a: int, m: int) -> int:
     """Multiplicative inverse of a modulo m, in [1, m).
 

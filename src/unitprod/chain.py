@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import next_prime
+from .arith import check_eps, next_prime
 from .errors import EscalationExhausted, NoCandidate
 from .search import find_coprime_numerator, find_denominator_for_prime
 
@@ -101,20 +101,15 @@ def _attempt_chain(target: TargetPoint, eps: Fraction, prime_floor: int) -> Chai
     a = [0] * (n + 1)
 
     a[n - 1] = next_prime(prime_floor)
-    a[n] = find_denominator_for_prime(a[n - 1], coords[n - 1], eps, half).denominator
-    for i in range(n - 1, 2, -1):
-        cand = find_coprime_numerator(coords[i - 1], a[i], a[i], eps, half)
-        if cand.numerator < 2:
+    a[n] = find_denominator_for_prime(a[n - 1], coords[n - 1], eps, half)
+    for i in range(n - 1, 1, -1):
+        # a1 must also be coprime to every later term, not just to a2
+        modulus = math.prod(a[2:]) if i == 2 else a[i]
+        a[i - 1] = find_coprime_numerator(coords[i - 1], a[i], modulus, eps, half)
+        if a[i - 1] < 2:
             # a numerator of 1 leaves no room for the step after it
             raise NoCandidate(f"term a{i - 1} collapsed to 1 at floor {prime_floor}")
-        a[i - 1] = cand.numerator
-    if n >= 3:
-        tail_product = math.prod(a[2 : n + 1])
-        cand = find_coprime_numerator(coords[1], a[2], tail_product, eps, half)
-        if cand.numerator < 2:
-            raise NoCandidate(f"term a1 collapsed to 1 at floor {prime_floor}")
-        a[1] = cand.numerator
-    a[0] = find_coprime_numerator(coords[0], a[1], a[1], eps, Fraction(0)).numerator
+    a[0] = find_coprime_numerator(coords[0], a[1], a[1], eps)
     return Chain(tuple(a))
 
 
@@ -131,9 +126,7 @@ def build_chain(
     default search mode it starts at SEARCH_START_FLOOR. Each failed attempt
     doubles the floor and restarts, at most MAX_ESCALATIONS times.
     """
-    eps = Fraction(eps)
-    if not 0 < eps <= 1:
-        raise ValueError("eps must lie in (0, 1]")
+    eps = check_eps(eps)
     if config.mode == "faithful":
         floor = faithful_parameters(eps, target.n)[1]
     else:
@@ -173,9 +166,7 @@ def faithful_parameters(eps: Fraction | int | str, n: int) -> tuple[int, int]:
         distinct primes in the product of all chain terms after the first,
         assuming a worst-case prime below 2*prime_floor and ratios >= eps/2.
     """
-    eps = Fraction(eps)
-    if not 0 < eps <= 1:
-        raise ValueError("eps must lie in (0, 1]")
+    eps = check_eps(eps)
     if n < 2:
         raise ValueError("dimension must be at least 2")
 

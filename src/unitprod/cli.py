@@ -166,10 +166,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_discrepancy(args: argparse.Namespace) -> int:
-    primes = list(args.p_list) if args.p_list else [args.p]
-    if not primes or primes == [None]:
-        raise UnitprodError("provide --p or --p-list")
-    for i, p in enumerate(primes):
+    for i, p in enumerate(args.p_list or (args.p,)):
         report = box_discrepancy(p, args.n, args.k)
         if i:
             print()
@@ -265,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     enum.add_argument("--csv", metavar="FILE", help="write CSV here instead of stdout")
 
     disc = sub.add_parser("discrepancy", help="box-counting deviation statistics")
-    primes = disc.add_mutually_exclusive_group()
+    primes = disc.add_mutually_exclusive_group(required=True)
     primes.add_argument("--p", type=int)
     primes.add_argument("--p-list", type=_int_list, dest="p_list", metavar="P1,P2,...")
     disc.add_argument("--n", type=int, required=True)

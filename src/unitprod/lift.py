@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from .arith import (
     CongruenceClass,
+    check_eps,
     crt,
     is_prime,
     mod_inverse,
@@ -148,9 +149,7 @@ def approximate(
     min_p raises the prime search floor beyond the error-driven one (used by
     the polynomial pipeline, harmless otherwise).
     """
-    eps = Fraction(eps)
-    if not 0 < eps <= 1:
-        raise ValueError("eps must lie in (0, 1]")
+    eps = check_eps(eps)
     chain = build_chain(target, eps / 2, config)
     floor = max(min_prime_for_error(chain, eps / 2), min_p)
     congruence = dirichlet_residue(chain)

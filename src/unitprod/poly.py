@@ -13,8 +13,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .arith import check_eps
 from .chain import DEFAULT_CONFIG, BuilderConfig, TargetPoint
-from .lift import Certificate, approximate, check_certificate
+from .lift import Certificate, WitnessPoint, approximate, check_certificate
 
 
 @dataclass(frozen=True)
@@ -105,6 +106,21 @@ def _inner_eps(eps: Fraction, d: int) -> Fraction:
     return eps / 2 ** (d + 1) - _root_precision(eps, d)
 
 
+def _prime_floor(f: MonicPolynomial, eps: Fraction) -> int:
+    """Least p with p*eps > 2*d*height, so that the lower order terms move
+    f(x)/p^d by less than eps/2."""
+    return math.floor(2 * f.degree * f.height / eps) + 1
+
+
+def _values_and_errors(
+    f: MonicPolynomial, witness: WitnessPoint, alphas: TargetPoint
+) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """The exact values f(x_i)/p^d and their distances to the alphas."""
+    p_power = witness.p**f.degree
+    values = tuple(Fraction(poly_eval(f, x), p_power) for x in witness.x)
+    return values, tuple(abs(v - a) for v, a in zip(values, alphas.coords))
+
+
 def approximate_polynomial(
     f: MonicPolynomial,
     alphas: TargetPoint,
@@ -114,18 +130,13 @@ def approximate_polynomial(
     """Witness with |f(x_i)/p^d - alpha_i| < eps in every coordinate, built
     by running the point pipeline at the d-th-root targets with a prime
     floor above 2*d*height/eps."""
-    eps = Fraction(eps)
-    if not 0 < eps <= 1:
-        raise ValueError("eps must lie in (0, 1]")
+    eps = check_eps(eps)
     d = f.degree
     precision = _root_precision(eps, d)
     roots = TargetPoint(tuple(rational_root(a, d, precision) for a in alphas.coords))
-    min_p = math.floor(2 * d * f.height / eps) + 1
-    inner = approximate(roots, _inner_eps(eps, d), config, min_p=min_p)
+    inner = approximate(roots, _inner_eps(eps, d), config, min_p=_prime_floor(f, eps))
     p = inner.witness.p
-    p_power = p**d
-    values = tuple(Fraction(poly_eval(f, x), p_power) for x in inner.witness.x)
-    errors = tuple(abs(v - a) for v, a in zip(values, alphas.coords))
+    values, errors = _values_and_errors(f, inner.witness, alphas)
     if max(errors) >= eps:  # excluded by the budget split and prime floor
         raise RuntimeError(f"witness at p={p} misses eps: max error {max(errors)}")
     return PolyCertificate(
@@ -163,14 +174,11 @@ def check_poly_certificate(cert: PolyCertificate) -> str | None:
     reason = check_certificate(cert.inner)
     if reason is not None:
         return f"inner-{reason}"
-    p = cert.inner.witness.p
-    if p * cert.eps <= 2 * d * cert.f.height:
+    if cert.inner.witness.p < _prime_floor(cert.f, cert.eps):
         return "prime-floor-too-low"
-    p_power = p**d
-    values = tuple(Fraction(poly_eval(cert.f, x), p_power) for x in cert.inner.witness.x)
+    values, errors = _values_and_errors(cert.f, cert.inner.witness, cert.alphas)
     if values != cert.values:
         return "values-mismatch"
-    errors = tuple(abs(v - a) for v, a in zip(values, cert.alphas.coords))
     if errors != cert.errors:
         return "errors-mismatch"
     if max(errors) >= cert.eps:

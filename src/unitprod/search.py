@@ -1,36 +1,20 @@
 """Searches for fractions with prescribed coprimality near a target.
 
-Both searches return the admissible fraction that minimizes the exact
-distance to the target (deterministic tie-breaking toward the smaller
-integer), or raise NoCandidate so the caller can escalate its parameters.
-Both start at the real minimizer: the numerator search walks outward from
-it, so the first admissible value met is the global argmin; the denominator
-search needs only the two integers nearest it on each side.
+Each search fixes one side of the fraction and returns the other as an
+int: the admissible one nearest the target (exact ties go to the smaller
+integer), or raises NoCandidate so the caller can escalate. Both start at
+the real minimizer: the numerator search walks outward from it, so the
+first admissible value met is the global argmin; the denominator search
+needs only the two integers nearest it on each side.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import is_prime, strict_ceil, strict_floor
+from .arith import check_eps, is_prime, strict_ceil, strict_floor
 from .errors import NoCandidate
-
-
-@dataclass(frozen=True)
-class FractionCandidate:
-    """A fraction numerator/denominator with its exact distance to the target."""
-
-    numerator: int
-    denominator: int
-    value: Fraction
-    error: Fraction
-
-
-def _candidate(num: int, den: int, x: Fraction) -> FractionCandidate:
-    value = Fraction(num, den)
-    return FractionCandidate(num, den, value, abs(x - value))
 
 
 def find_coprime_numerator(
@@ -39,19 +23,21 @@ def find_coprime_numerator(
     Q: int,
     eps: Fraction | int | str,
     min_ratio: Fraction | int | str = 0,
-) -> FractionCandidate:
+) -> int:
     """Best numerator a with 1 <= a < b, gcd(a, Q) = 1, |x - a/b| < eps and
     a/b > min_ratio (all inequalities strict, all comparisons exact).
 
     Q must be a multiple of b (Q = b constrains against the denominator
     alone). Among admissible numerators the one with the smallest distance
     wins; exact ties go to the smaller numerator.
+
+    >>> find_coprime_numerator(Fraction(1, 2), 7, 7, Fraction(1, 5), Fraction(1, 10))
+    3
     """
-    x, eps, min_ratio = Fraction(x), Fraction(eps), Fraction(min_ratio)
+    x, min_ratio = Fraction(x), Fraction(min_ratio)
     if not 0 <= x <= 1:
         raise ValueError("x must lie in [0, 1]")
-    if not 0 < eps <= 1:
-        raise ValueError("eps must lie in (0, 1]")
+    eps = check_eps(eps)
     if b < 2:
         raise ValueError("denominator must be at least 2")
     if Q % b != 0:
@@ -83,7 +69,7 @@ def find_coprime_numerator(
             a = hi
             hi += 1
         if math.gcd(a, Q) == 1:
-            return _candidate(a, b, x)
+            return a
     raise NoCandidate(
         f"no numerator coprime to {Q} for x={x}, b={b}, eps={eps}, min_ratio={min_ratio}"
     )
@@ -94,21 +80,23 @@ def find_denominator_for_prime(
     x: Fraction | int | str,
     eps: Fraction | int | str,
     min_ratio: Fraction | int | str = 0,
-) -> FractionCandidate:
+) -> int:
     """Best denominator m > a_prime with gcd(a_prime, m) = 1,
     |x - a_prime/m| < eps and a_prime/m > min_ratio.
 
     a_prime must be prime, so coprimality just means m is not a multiple of
     it. The window is capped at a_prime + ceil(2*a_prime/eps), past which
     the ratio has fallen below eps/2. Ties go to the smaller m.
+
+    >>> find_denominator_for_prime(29, Fraction(1, 2), Fraction(1, 10))
+    59
     """
-    x, eps, min_ratio = Fraction(x), Fraction(eps), Fraction(min_ratio)
+    x, min_ratio = Fraction(x), Fraction(min_ratio)
     if not is_prime(a_prime):
         raise ValueError("a_prime must be prime")
     if not 0 <= x <= 1:
         raise ValueError("x must lie in [0, 1]")
-    if not 0 < eps <= 1:
-        raise ValueError("eps must lie in (0, 1]")
+    eps = check_eps(eps)
     if not 0 <= min_ratio < 1:
         raise ValueError("min_ratio must lie in [0, 1)")
 
@@ -136,8 +124,7 @@ def find_denominator_for_prime(
         # key: the distance times x's denominator; min keeps the first of
         # equal keys, and the candidates ascend, so ties go to the smaller m
         num, den = x.numerator, x.denominator
-        best = min(admissible, key=lambda m: Fraction(abs(num * m - a_prime * den), m))
-        return _candidate(a_prime, best, x)
+        return min(admissible, key=lambda m: Fraction(abs(num * m - a_prime * den), m))
     raise NoCandidate(
         f"only multiples of {a_prime} in the window for x={x}, eps={eps}, "
         f"min_ratio={min_ratio}"

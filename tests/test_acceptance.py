@@ -175,7 +175,7 @@ def test_criterion_3_coprime_search_oracle():
         min_ratio = Fraction(0) if rng.random() < 0.5 else eps / 2
         expected = _numpy_numerator_oracle(x, b, Q, eps, min_ratio)
         try:
-            got = find_coprime_numerator(x, b, Q, eps, min_ratio).numerator
+            got = find_coprime_numerator(x, b, Q, eps, min_ratio)
         except NoCandidate:
             got = None
         if got != expected:

@@ -15,7 +15,7 @@ from unitprod.chain import (
     chain_is_valid,
     faithful_parameters,
 )
-from unitprod.errors import EscalationExhausted
+from unitprod.errors import EscalationExhausted, NoCandidate
 
 
 def rand_target(rng, n, max_den=1000):
@@ -138,6 +138,18 @@ def test_build_chain_escalation_exhausted(monkeypatch):
         build_chain(target, Fraction(1, 1000))
     # the floor starts at 3 and doubles before each restart
     assert attempts == [3 * 2**i for i in range(MAX_ESCALATIONS + 1)]
+
+
+@pytest.mark.parametrize(
+    "coords, term",
+    [
+        ((Fraction(1, 2), 0, Fraction(1, 2)), "a1"),  # modulus a2*a3
+        ((Fraction(1, 2), Fraction(1, 2), 0, Fraction(1, 2)), "a2"),  # modulus a3
+    ],
+)
+def test_attempt_chain_collapse(coords, term):
+    with pytest.raises(NoCandidate, match=f"^term {term} collapsed to 1 at floor 24$"):
+        chain_module._attempt_chain(TargetPoint(coords), Fraction(1, 20), 24)
 
 
 # ---------------------------------------------------------------- faithful mode

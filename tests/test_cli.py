@@ -163,8 +163,9 @@ def test_discrepancy_p_list_structured(capsys):
 
 
 def test_discrepancy_requires_p(capsys):
-    code, _, err = run(capsys, "discrepancy", "--n", "2", "--k", "2")
-    assert code == 3
+    with pytest.raises(SystemExit) as info:
+        main(["discrepancy", "--n", "2", "--k", "2"])
+    assert info.value.code == 2
 
 
 def test_discrepancy_p_and_p_list_exclusive(capsys):

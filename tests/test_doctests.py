@@ -24,3 +24,4 @@ def test_doctests_exist():
         name: doctest.testmod(importlib.import_module(name)).attempted for name in MODULES
     }
     assert examples["unitprod.arith"] >= 2 and examples["unitprod.lab"] >= 2
+    assert examples["unitprod.search"] >= 2

@@ -43,12 +43,12 @@ def brute_denominator(a_prime, x, eps, min_ratio):
 # ------------------------------------------------------- numerator search
 
 def test_numerator_examples():
-    cand = find_coprime_numerator(Fraction(1, 2), 7, 7, Fraction(1, 5), Fraction(1, 10))
-    assert cand.numerator == 3  # ties with a=4 broken downward
-    assert cand.error == Fraction(1, 14)
+    a = find_coprime_numerator(Fraction(1, 2), 7, 7, Fraction(1, 5), Fraction(1, 10))
+    assert a == 3  # ties with a=4 broken downward
+    assert abs(Fraction(1, 2) - Fraction(a, 7)) == Fraction(1, 14)
 
-    cand = find_coprime_numerator(Fraction(1, 2), 2, 2, 1, 0)
-    assert cand.numerator == 1 and cand.error == 0
+    a = find_coprime_numerator(Fraction(1, 2), 2, 2, 1, 0)
+    assert a == 1 and abs(Fraction(1, 2) - Fraction(a, 2)) == 0
 
     with pytest.raises(NoCandidate):
         find_coprime_numerator(Fraction(1, 2), 4, 4, Fraction(1, 100), 0)
@@ -89,13 +89,14 @@ def test_numerator_oracle_equivalence():
             assert expected is None
             continue
         assert expected is not None
-        assert got.numerator == expected[0]
-        assert got.error == expected[1]
+        assert type(got) is int
+        assert got == expected[0]
+        assert abs(x - Fraction(got, b)) == expected[1]
         # postconditions, re-checked exactly
-        assert 1 <= got.numerator < b
-        assert math.gcd(got.numerator, Q) == 1
-        assert abs(x - got.value) < eps
-        assert got.value > min_ratio
+        assert 1 <= got < b
+        assert math.gcd(got, Q) == 1
+        assert abs(x - Fraction(got, b)) < eps
+        assert Fraction(got, b) > min_ratio
 
 
 def test_numerator_gap_soundness():
@@ -123,17 +124,17 @@ def test_numerator_gap_soundness():
 # ----------------------------------------------------- denominator search
 
 def test_denominator_examples():
-    cand = find_denominator_for_prime(29, Fraction(3, 5), Fraction(1, 10), Fraction(1, 20))
-    assert cand.denominator == 48
-    assert cand.error == Fraction(1, 240)
+    m = find_denominator_for_prime(29, Fraction(3, 5), Fraction(1, 10), Fraction(1, 20))
+    assert m == 48
+    assert abs(Fraction(3, 5) - Fraction(29, m)) == Fraction(1, 240)
 
-    cand = find_denominator_for_prime(29, Fraction(1, 2), Fraction(1, 10), 0)
-    assert cand.denominator == 59  # 58 excluded (multiple of 29)
-    assert cand.error == Fraction(1, 118)
+    m = find_denominator_for_prime(29, Fraction(1, 2), Fraction(1, 10), 0)
+    assert m == 59  # 58 excluded (multiple of 29)
+    assert abs(Fraction(1, 2) - Fraction(29, m)) == Fraction(1, 118)
 
-    cand = find_denominator_for_prime(5, 1, Fraction(1, 2), 0)
-    assert cand.denominator == 6
-    assert cand.error == Fraction(1, 6)
+    m = find_denominator_for_prime(5, 1, Fraction(1, 2), 0)
+    assert m == 6
+    assert abs(1 - Fraction(5, m)) == Fraction(1, 6)
 
 
 def test_denominator_validation():
@@ -165,16 +166,17 @@ def test_denominator_oracle_equivalence():
             assert expected is None
             continue
         assert expected is not None
-        assert got.denominator == expected[0]
-        assert got.error == expected[1]
-        assert got.denominator > a_prime
-        assert got.denominator % a_prime != 0
-        assert abs(x - got.value) < eps
-        assert got.value > min_ratio
+        assert type(got) is int
+        assert got == expected[0]
+        assert abs(x - Fraction(a_prime, got)) == expected[1]
+        assert got > a_prime
+        assert got % a_prime != 0
+        assert abs(x - Fraction(a_prime, got)) < eps
+        assert Fraction(a_prime, got) > min_ratio
 
 
 def test_denominator_zero_target():
     # pure ratio window: a_prime/m must land in (eps/2, eps)
-    cand = find_denominator_for_prime(3, 0, Fraction(1, 10), Fraction(1, 20))
-    assert Fraction(1, 20) < cand.value < Fraction(1, 10)
-    assert cand.denominator == 59
+    m = find_denominator_for_prime(3, 0, Fraction(1, 10), Fraction(1, 20))
+    assert Fraction(1, 20) < Fraction(3, m) < Fraction(1, 10)
+    assert m == 59
