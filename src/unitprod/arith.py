@@ -20,8 +20,6 @@ DETERMINISTIC_PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
 _DETERMINISTIC_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 DEFAULT_MILLER_RABIN_ROUNDS = 64
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
 TRIAL_DIVISION_LIMIT = 10**6
 JACOBSTHAL_SCAN_LIMIT = 10**7
 
@@ -126,7 +124,7 @@ def _miller_rabin_passes(n: int, a: int, d: int, s: int) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin primality test.
+    """Trial division by the primes of the base set, then Miller-Rabin.
 
     Deterministic below DETERMINISTIC_PRIMALITY_BOUND via the fixed base set;
     above it, DEFAULT_MILLER_RABIN_ROUNDS bases are drawn from an RNG seeded
@@ -134,7 +132,7 @@ def is_prime(n: int) -> bool:
     """
     if n < 2:
         return False
-    for p in _SMALL_PRIMES:
+    for p in _DETERMINISTIC_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -147,8 +145,7 @@ def is_prime(n: int) -> bool:
         bases = tuple(
             rng.randrange(2, n - 1) for _ in range(DEFAULT_MILLER_RABIN_ROUNDS)
         )
-    # a base divisible by n carries no information (only hit by n = 41)
-    return all(a % n == 0 or _miller_rabin_passes(n, a, d, s) for a in bases)
+    return all(_miller_rabin_passes(n, a, d, s) for a in bases)
 
 
 def primality_method(n: int) -> str:

@@ -4,8 +4,8 @@ target point coordinate by coordinate.
 A chain (a0, ..., an) represents the point (a0/a1, ..., a[n-1]/an). The
 builder works from the last coordinate backwards: it picks a prime, finds a
 denominator above it, then finds each earlier numerator in turn, keeping
-every intermediate ratio above eps/2 so later windows stay wide. Any failed
-step escalates the starting prime and restarts.
+every intermediate ratio above eps/2 so later windows stay wide. A failed
+attempt restarts at a higher prime floor, up to one where none can fail.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .search import find_coprime_numerator, find_denominator_for_prime
 
 MODES = ("search", "faithful")
 SEARCH_START_FLOOR = 3
-MAX_ESCALATIONS = 40
 
 
 @dataclass(frozen=True)
@@ -113,6 +112,23 @@ def _attempt_chain(target: TargetPoint, eps: Fraction, prime_floor: int) -> Chai
     return Chain(tuple(a))
 
 
+def _prime_floors(eps: Fraction, n: int, mode: str):
+    """Floors to try: in search mode SEARCH_START_FLOOR doubled while below the
+    faithful floor F, then F. As F >= (2/eps)^(n-2) * M and M > 4/eps, F is
+    computed only once a rung passes the cheap bound (2/eps)^(n-2) * 4/eps."""
+    # that bound, equal to 2^n * (1/eps)^(n-1), rounded down in integers
+    bound = 2**n * eps.denominator ** (n - 1) // eps.numerator ** (n - 1)
+    floor = SEARCH_START_FLOOR
+    while mode == "search" and floor <= bound:
+        yield floor
+        floor *= 2
+    faithful_floor = faithful_parameters(eps, n)[1]
+    while mode == "search" and floor < faithful_floor:
+        yield floor
+        floor *= 2
+    yield faithful_floor
+
+
 def build_chain(
     target: TargetPoint,
     eps: Fraction | int | str,
@@ -121,35 +137,18 @@ def build_chain(
     """Chain whose every coordinate lies strictly within eps of the target's.
 
     Determinism: identical (target, eps, config) always yields the identical
-    chain. In faithful mode the starting prime floor comes from
-    faithful_parameters, large enough that no step should ever fail; in the
-    default search mode it starts at SEARCH_START_FLOOR. Each failed attempt
-    doubles the floor and restarts, at most MAX_ESCALATIONS times.
+    chain. Search mode doubles the prime floor from SEARCH_START_FLOOR after
+    each failed attempt, up to the faithful floor F of faithful_parameters,
+    where no step can fail; faithful mode starts at F. EscalationExhausted,
+    raised only if the attempt at F fails, would mean that guarantee broke.
     """
     eps = check_eps(eps)
-    if config.mode == "faithful":
-        floor = faithful_parameters(eps, target.n)[1]
-    else:
-        floor = SEARCH_START_FLOOR
-    for _ in range(MAX_ESCALATIONS + 1):
+    for floor in _prime_floors(eps, target.n, config.mode):
         try:
             return _attempt_chain(target, eps, floor)
         except NoCandidate as exc:
-            last_failure = str(exc)
-            floor *= 2
-    raise EscalationExhausted(
-        f"no chain after {MAX_ESCALATIONS} restarts (last failure: {last_failure})"
-    )
-
-
-def _omega_cap(limit: int) -> int:
-    """Largest k such that the product of the first k primes is <= limit."""
-    k, product, p = 0, 1, 2
-    while product * p <= limit:
-        product *= p
-        k += 1
-        p = next_prime(p + 1)
-    return k
+            failure = str(exc)  # not exc: its traceback would pin this frame
+    raise EscalationExhausted(f"no chain at the faithful floor {floor}: {failure}")
 
 
 def faithful_parameters(eps: Fraction | int | str, n: int) -> tuple[int, int]:
@@ -183,12 +182,18 @@ def faithful_parameters(eps: Fraction | int | str, n: int) -> tuple[int, int]:
 
     if n >= 3:
         growth = (2 / eps) ** (n - 2)
+        # W counts the first primes with product <= top, which only grows
+        w, q_primorial, q = 0, 1, 2
         for _ in range(200):
             prime_floor = math.ceil(growth * m)
             # worst case: the chosen prime is < 2*prime_floor (Bertrand), the
             # last term < (2/eps) times the prime, every other term smaller
             top = math.floor(((4 / eps) * prime_floor) ** (n - 1))
-            need = 2 ** _omega_cap(top) + 2
+            while q_primorial * q <= top:
+                q_primorial *= q
+                w += 1
+                q = next_prime(q + 1)
+            need = 2**w + 2
             if m >= need:
                 break
             m = need

@@ -26,7 +26,7 @@ class NoCandidate(UnitprodError):
 
 
 class EscalationExhausted(UnitprodError):
-    """Chain construction kept failing after the allowed number of restarts."""
+    """Chain construction failed at the faithful floor, where no step can fail."""
 
 
 class CongruenceViolated(UnitprodError):

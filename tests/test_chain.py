@@ -7,7 +7,7 @@ import pytest
 from unitprod import chain as chain_module
 from unitprod.arith import is_prime, next_prime
 from unitprod.chain import (
-    MAX_ESCALATIONS,
+    MODES,
     BuilderConfig,
     Chain,
     TargetPoint,
@@ -124,20 +124,61 @@ def test_build_chain_deterministic():
     assert first == second
 
 
-def test_build_chain_escalation_exhausted(monkeypatch):
-    attempts = []
-    attempt = chain_module._attempt_chain
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("eps,n", [(Fraction(1), 2), (Fraction(1, 10), 3), (Fraction(1, 1000), 5)])
+def test_build_chain_floor_ladder(monkeypatch, mode, eps, n):
+    floors = []
 
-    def counted(*args):
-        attempts.append(args[2])
-        return attempt(*args)
+    def failing(target, eps, prime_floor):
+        floors.append(prime_floor)
+        raise NoCandidate(f"forced at floor {prime_floor}")
 
-    monkeypatch.setattr(chain_module, "_attempt_chain", counted)
-    target = TargetPoint((Fraction(1, 2), 0, 0, 0, Fraction(1, 2)))
-    with pytest.raises(EscalationExhausted, match=f"after {MAX_ESCALATIONS} restarts"):
-        build_chain(target, Fraction(1, 1000))
-    # the floor starts at 3 and doubles before each restart
-    assert attempts == [3 * 2**i for i in range(MAX_ESCALATIONS + 1)]
+    monkeypatch.setattr(chain_module, "_attempt_chain", failing)
+    faithful_floor = faithful_parameters(eps, n)[1]
+    message = f"faithful floor {faithful_floor}: forced at floor {faithful_floor}$"
+    with pytest.raises(EscalationExhausted, match=message):
+        build_chain(TargetPoint((Fraction(1, 2),) * n), eps, BuilderConfig(mode))
+    # search mode doubles from 3 while below the faithful floor, then tries
+    # that floor; faithful mode tries it alone
+    below = [3 * 2**k for k in range(faithful_floor.bit_length()) if 3 * 2**k < faithful_floor]
+    assert floors == (below if mode == "search" else []) + [faithful_floor]
+
+
+def test_search_mode_defers_faithful_parameters(monkeypatch):
+    def unused(eps, n):
+        raise AssertionError("faithful_parameters called below the cheap bound")
+
+    # the worked example succeeds at floor 3, far below (2/eps)^(n-2) * 4/eps
+    monkeypatch.setattr(chain_module, "faithful_parameters", unused)
+    target = TargetPoint((Fraction(1, 2), Fraction(2, 3), Fraction(3, 5)))
+    assert build_chain(target, Fraction(1, 10)).a == (1, 2, 3, 5)
+
+
+def rand_edge_target(rng, n):
+    # one coordinate in five sits exactly at 0 or 1
+    coords = rand_target(rng, n).coords
+    return TargetPoint(tuple(rng.randint(0, 1) if rng.random() < 0.2 else c for c in coords))
+
+
+def test_attempt_at_faithful_floor_succeeds():
+    rng = random.Random(6001)
+    for _ in range(100):
+        n = rng.choice((2, 3, 4, 5, 8))
+        eps = rng.choice((Fraction(1), Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000)))
+        target = rand_edge_target(rng, n)
+        faithful_floor = faithful_parameters(eps, n)[1]
+        chain = chain_module._attempt_chain(target, eps, faithful_floor)
+        assert chain_is_valid(chain.a)
+        assert all(abs(t - f) < eps for t, f in zip(target.coords, chain.fractions))
+        assert chain.a[n - 1] >= faithful_floor
+
+
+def test_cheap_bound_below_faithful_floor():
+    rng = random.Random(6002)
+    for _ in range(30):
+        n = rng.choice((2, 3, 4, 5, 8))
+        eps = Fraction(rng.randint(1, 3), rng.randint(3, 3000))
+        assert (2 / eps) ** (n - 2) * 4 / eps < faithful_parameters(eps, n)[1]
 
 
 @pytest.mark.parametrize(

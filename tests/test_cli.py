@@ -269,6 +269,14 @@ def test_successive_calls_match_fresh_processes(tmp_path, capsys):
     assert build_parser() is not build_parser()
 
 
+def test_approx_needs_a_large_floor_in_fresh_process(tmp_path):
+    # the chain needs a prime floor past 3 * 2^40
+    cert = tmp_path / "edge.cert"
+    argv = ("approx", "--target", "1/2,0,0,0,1/2", "--eps", "1/1000", "--out", str(cert))
+    assert fresh_process(*argv)[0] == 0
+    assert fresh_process("verify", "--cert", str(cert)) == (0, "valid\n")
+
+
 def test_verify_verdicts_hold_without_asserts(tmp_path):
     golden = Path(__file__).parent / "data" / "golden" / "point-search-n3.cert"
     tampered = tmp_path / "tampered.cert"

@@ -181,6 +181,14 @@ def test_approximate_min_p():
     assert verify_certificate(cert)
 
 
+def test_approximate_needs_a_large_floor():
+    # zero middle coordinates make every attempt fail up to a floor past 3 * 2^40
+    target = TargetPoint((Fraction(1, 2), 0, 0, 0, Fraction(1, 2)))
+    cert = approximate(target, Fraction(1, 1000))
+    assert check_certificate(cert) is None
+    assert cert.chain.a[4] > 3 * 2**40
+
+
 def test_approximate_validation():
     with pytest.raises(ValueError):
         approximate(TARGET, 2)

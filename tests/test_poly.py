@@ -125,6 +125,23 @@ def test_poly_random_trials():
         assert cert.inner.witness.p * cert.eps > 2 * d * f.height
 
 
+@pytest.mark.parametrize(
+    "degree, alphas, eps",
+    [
+        # a middle alpha of 0 and a high degree each push the chain's prime
+        # floor past 3 * 2^40
+        (12, TargetPoint((Fraction(1, 2), 0, Fraction(1, 2))), Fraction(1, 100)),
+        (36, TargetPoint((Fraction(1, 3), Fraction(1, 2), Fraction(3, 4))), Fraction(1, 1000)),
+    ],
+)
+def test_poly_needs_a_large_floor(degree, alphas, eps):
+    rng = random.Random(degree)
+    f = MonicPolynomial(degree, tuple(rng.randint(-5, 5) for _ in range(degree)))
+    cert = approximate_polynomial(f, alphas, eps)
+    assert check_poly_certificate(cert) is None
+    assert cert.inner.chain.a[2] > 3 * 2**40
+
+
 def test_poly_verify_detects_tampering():
     f = MonicPolynomial(2, (1, 0))
     cert = approximate_polynomial(f, HALVES, Fraction(1, 10))
