@@ -10,7 +10,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import InputTooLarge, ModuliNotCoprime, NotCoprime, SearchExhausted
 
@@ -139,12 +139,11 @@ def is_prime(n: int) -> bool:
     s = (d & -d).bit_length() - 1
     d >>= s
     if n < DETERMINISTIC_PRIMALITY_BOUND:
-        bases: tuple[int, ...] = _DETERMINISTIC_BASES
+        bases: Iterable[int] = _DETERMINISTIC_BASES
     else:
+        # drawn lazily: most composites fail on the first base
         rng = random.Random(n)
-        bases = tuple(
-            rng.randrange(2, n - 1) for _ in range(DEFAULT_MILLER_RABIN_ROUNDS)
-        )
+        bases = (rng.randrange(2, n - 1) for _ in range(DEFAULT_MILLER_RABIN_ROUNDS))
     return all(_miller_rabin_passes(n, a, d, s) for a in bases)
 
 

@@ -5,9 +5,11 @@ constructor; one writer and one parser walk the tables. Every value is a
 decimal integer or an exact num/den fraction, so parse(serialize(c)) == c
 bit for bit. The parser accepts the fields in any order, rejects missing,
 unknown or duplicate keys, and accepts only the canonical encoding: every
-field must read exactly as the writer would write the parsed document.
-Poly certificates embed their inner point certificate as a two-space
-indented block after an "inner:" line.
+field must read exactly as the writer would write the parsed document, so
+lines derived from other fields (errors, max-error, primality, a poly
+certificate's values) are checked at parse time. Poly certificates embed
+their inner point certificate as a two-space indented block after an
+"inner:" line.
 """
 
 from __future__ import annotations
@@ -21,9 +23,10 @@ from .arith import CongruenceClass
 from .chain import Chain, TargetPoint
 from .errors import CertificateFormatError
 from .lab import DiscrepancyReport
-from .lift import CERTIFICATE_VERSION, Certificate, WitnessPoint
+from .lift import Certificate, WitnessPoint
 from .poly import MonicPolynomial, PolyCertificate
 
+CERTIFICATE_VERSION = 1
 
 # How one field's value is written (show) and read back (read).
 Codec = namedtuple("Codec", "show read")
@@ -54,14 +57,15 @@ FRAC_LIST = Codec(
 
 
 # Rows (key, codec, getter) in writing order, and the constructor that builds
-# the object from the decoded values keyed by field name.
+# the object from the decoded values keyed by field name. The constructor
+# skips the rows the object derives; the canonical check compares those.
 DocumentKind = namedtuple("DocumentKind", "name fields build")
 
 
 POINT = DocumentKind(
     "point-certificate",
     (
-        ("version", INT, attrgetter("version")),
+        ("version", INT, lambda _: CERTIFICATE_VERSION),
         ("kind", TEXT, lambda _: POINT.name),
         ("mode", TEXT, attrgetter("mode")),
         ("primality", TEXT, attrgetter("primality_method")),
@@ -79,8 +83,7 @@ POINT = DocumentKind(
     lambda v: Certificate(
         TargetPoint(v["target"]), v["eps"], Chain(v["chain"]),
         CongruenceClass(v["congruence-residue"], v["congruence-modulus"]),
-        v["prime-floor"], WitnessPoint(v["p"], v["witness"]), v["errors"],
-        v["max-error"], v["primality"], v["mode"], v["version"],
+        v["prime-floor"], WitnessPoint(v["p"], v["witness"]), v["mode"],
     ),
 )
 
@@ -101,8 +104,7 @@ POLY = DocumentKind(
     ),
     lambda v: PolyCertificate(
         MonicPolynomial(v["degree"], v["coeffs"]), TargetPoint(v["alphas"]), v["eps"],
-        TargetPoint(v["root-targets"]), v["root-precision"], v["inner"], v["values"],
-        v["errors"],
+        TargetPoint(v["root-targets"]), v["inner"],
     ),
 )
 
@@ -173,7 +175,9 @@ def _split_block(lines: list) -> tuple[dict, list | None]:
 
 def _read(kind: DocumentKind, fields: dict, inner: Certificate | None = None) -> Any:
     """Decode every row of `kind` from the raw fields, build the object, and
-    require each raw field to be its canonical encoding."""
+    require each raw field to read exactly as the object writes it, which
+    rejects both a non-canonical encoding and a derived line that disagrees
+    with the rest of the document."""
     values: dict[str, Any] = {"inner": inner}
     unknown = fields.keys() - {key for key, _, _ in kind.fields}
     if unknown:
@@ -194,8 +198,15 @@ def _read(kind: DocumentKind, fields: dict, inner: Certificate | None = None) ->
     except ValueError as exc:
         raise CertificateFormatError(str(exc)) from None
     for key, codec, get in kind.fields:
-        if codec.show(get(obj)) != fields[key]:
-            raise CertificateFormatError(f"field {key}: not canonical: {fields[key]!r}")
+        # compare values first, so a disagreeing derived line is rejected
+        # without writing out the derived value (past CPython's int/str digit
+        # limit on a hostile degree); each decoded copy is dropped once checked
+        decoded = values.pop(key)
+        if decoded != get(obj) or codec.show(decoded) != fields[key]:
+            shown = fields[key] if len(fields[key]) <= 40 else fields[key][:37] + "..."
+            raise CertificateFormatError(
+                f"field {key}: {shown!r} is not canonical or disagrees with the other fields"
+            )
     return obj
 
 

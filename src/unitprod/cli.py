@@ -63,10 +63,6 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}") from None
 
 
-def _config(args: argparse.Namespace) -> BuilderConfig:
-    return BuilderConfig(mode=args.mode)
-
-
 def _approx_hint(key: str, value: Fraction) -> str:
     return f"{key}-approx: {float(value):.3g}"
 
@@ -86,7 +82,7 @@ def _write_out(document: str, path: str | None) -> None:
 
 
 def _cmd_approx(args: argparse.Namespace) -> int:
-    cert = approximate(args.target, args.eps, _config(args))
+    cert = approximate(args.target, args.eps, BuilderConfig(args.mode))
     document = certio.serialize_certificate(cert)
     hints = [f"point: {certio.FRAC_LIST.show(cert.witness.point)}"]
     if cert.target.n == 2:
@@ -98,15 +94,15 @@ def _cmd_approx(args: argparse.Namespace) -> int:
 
 
 def _cmd_chain(args: argparse.Namespace) -> int:
-    chain = build_chain(args.target, args.eps, _config(args))
+    chain = build_chain(args.target, args.eps, BuilderConfig(args.mode))
     fractions = chain.fractions
     errors = [abs(t - f) for t, f in zip(args.target.coords, fractions)]
     print(f"target: {certio.FRAC_LIST.show(args.target.coords)}")
-    print(f"eps: {args.eps}")
+    print(f"eps: {certio.FRAC.show(args.eps)}")
     print(f"chain: {certio.INT_LIST.show(chain.a)}")
     print(f"point: {certio.FRAC_LIST.show(fractions)}")
     print(f"errors: {certio.FRAC_LIST.show(errors)}")
-    print(f"max-error: {max(errors)}")
+    print(f"max-error: {certio.FRAC.show(max(errors))}")
     return EXIT_OK
 
 
@@ -138,10 +134,8 @@ def _cmd_lift(args: argparse.Namespace) -> int:
 
 
 def _cmd_poly(args: argparse.Namespace) -> int:
-    if len(args.coeffs) != args.degree:
-        raise UnitprodError("--coeffs must list exactly --degree values (low to high)")
     f = MonicPolynomial(args.degree, args.coeffs)
-    cert = approximate_polynomial(f, args.target, args.eps, _config(args))
+    cert = approximate_polynomial(f, args.target, args.eps, BuilderConfig(args.mode))
     document = certio.serialize_poly_certificate(cert)
     _emit(document, [_approx_hint("max-error", max(cert.errors))], args.format)
     _write_out(document, args.out)
@@ -206,13 +200,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_INVALID
 
 
-def _add_builder_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--mode", choices=MODES, default="search",
-        help="construction mode (default: search)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="unitprod",
@@ -223,17 +210,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    approx = sub.add_parser("approx", help="full pipeline: target -> certificate")
-    approx.add_argument("--target", type=_target, required=True, metavar="X1,X2,...")
-    approx.add_argument("--eps", type=_eps, required=True, metavar="EPS")
-    _add_builder_flags(approx)
-    approx.add_argument("--out", metavar="FILE", help="write the certificate here")
-    approx.add_argument("--format", choices=("text", "structured"), default="text")
+    # arguments shared by approx, chain and poly
+    point = argparse.ArgumentParser(add_help=False)
+    point.add_argument("--target", type=_target, required=True, metavar="X1,X2,...")
+    point.add_argument("--eps", type=_eps, required=True, metavar="EPS")
+    point.add_argument(
+        "--mode", choices=MODES, default="search",
+        help="construction mode (default: search)",
+    )
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", metavar="FILE", help="write the certificate here")
+    output.add_argument("--format", choices=("text", "structured"), default="text")
 
-    chain = sub.add_parser("chain", help="chain construction only")
-    chain.add_argument("--target", type=_target, required=True, metavar="X1,X2,...")
-    chain.add_argument("--eps", type=_eps, required=True, metavar="EPS")
-    _add_builder_flags(chain)
+    sub.add_parser(
+        "approx", parents=[point, output], help="full pipeline: target -> certificate"
+    )
+    sub.add_parser("chain", parents=[point], help="chain construction only")
 
     lift = sub.add_parser("lift", help="lift a chain at a prime from its class")
     lift.add_argument("--chain", type=_int_list, required=True, metavar="A0,A1,...")
@@ -244,17 +236,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="search for the first admissible prime at or above L",
     )
 
-    poly = sub.add_parser("poly", help="certificate for monic polynomial values")
+    poly = sub.add_parser(
+        "poly", parents=[point, output], help="certificate for monic polynomial values"
+    )
     poly.add_argument("--degree", type=int, required=True, metavar="D")
     poly.add_argument(
         "--coeffs", type=_int_list, required=True, metavar="C0,C1,...",
         help="coefficients low to high, excluding the leading 1",
     )
-    poly.add_argument("--target", type=_target, required=True, metavar="A1,A2,...")
-    poly.add_argument("--eps", type=_eps, required=True, metavar="EPS")
-    _add_builder_flags(poly)
-    poly.add_argument("--out", metavar="FILE", help="write the certificate here")
-    poly.add_argument("--format", choices=("text", "structured"), default="text")
 
     enum = sub.add_parser("enumerate", help="list all hypersurface points for p, n")
     enum.add_argument("--p", type=int, required=True)
@@ -291,10 +280,7 @@ def main(argv=None) -> int:
     handler = globals()[f"_cmd_{args.command}"]
     try:
         return handler(args)
-    except UnitprodError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except ValueError as exc:
+    except (UnitprodError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

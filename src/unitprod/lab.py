@@ -2,7 +2,7 @@
 with grid box counting against the uniform measure.
 
 All three kernels share one walk: the first n-2 residues run over [1, p)
-with their running product acc (in lexicographic order, except that
+with their product acc mod p (in lexicographic order, except that
 nearest_point_distance takes each axis nearest-first), the residue n-1 runs
 over [1, p) in an inner loop, and the last residue is inv[acc * v % p] from
 a table of inverses built once per call. The inner loops work on integers
@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Iterator, Sequence
+from itertools import product
+from math import lcm, prod
+from typing import Iterator
 
 from .arith import is_prime
 from .chain import TargetPoint
@@ -63,18 +64,6 @@ def _inverses(p: int) -> list[int]:
     return inv
 
 
-def _prefixes(
-    p: int, orders: list[Sequence[int]], prefix: tuple[int, ...] = (), acc: int = 1
-) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Every prefix + (x1, ..., xm) with xi running through orders[i],
-    lexicographic in those orders, with its product mod p."""
-    if not orders:
-        yield prefix, acc
-        return
-    for v in orders[0]:
-        yield from _prefixes(p, orders[1:], prefix + (v,), acc * v % p)
-
-
 def enumerate_points(p: int, n: int) -> Iterator[WitnessPoint]:
     """All (p-1)^(n-1) hypersurface points: the first n-1 residues range
     freely over [1, p) in lexicographic order, the last completes the
@@ -89,7 +78,8 @@ def enumerate_points(p: int, n: int) -> Iterator[WitnessPoint]:
 
 def _generate_points(p: int, n: int) -> Iterator[WitnessPoint]:
     inv = _inverses(p)
-    for prefix, acc in _prefixes(p, [range(1, p)] * (n - 2)):
+    for prefix in product(range(1, p), repeat=n - 2):
+        acc = prod(prefix) % p
         for v in range(1, p):
             yield WitnessPoint(p, prefix + (v, inv[acc * v % p]))
 
@@ -116,7 +106,8 @@ def box_discrepancy(p: int, n: int, k: int) -> DiscrepancyReport:
     row = [j * k for j in box]  # axis n-1, weighted by the last axis's k boxes
     last_box = [box[u] for u in inv]  # box of the last residue when acc * v = u
     counts = [0] * cells
-    for prefix, acc in _prefixes(p, [range(1, p)] * (n - 2)):
+    for prefix in product(range(1, p), repeat=n - 2):
+        acc = prod(prefix) % p
         base = 0
         for v in prefix:
             base = base * k + box[v]
@@ -158,7 +149,8 @@ def nearest_point_distance(p: int, n: int, target: TargetPoint) -> Fraction:
     # nearest residues first on every prefix axis, so that best falls fast
     # and most prefixes are skipped; the minimum does not depend on order
     orders = [sorted(range(1, p), key=gap.__getitem__) for gap in gaps[: n - 2]]
-    for prefix, acc in _prefixes(p, orders):
+    for prefix in product(*orders):
+        acc = prod(prefix) % p
         floor = max((gaps[i][v] for i, v in enumerate(prefix)), default=0)
         if floor >= best:
             continue

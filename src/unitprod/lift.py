@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .arith import (
     CongruenceClass,
@@ -37,17 +38,18 @@ from .chain import (
 )
 from .errors import CongruenceViolated
 
-CERTIFICATE_VERSION = 1
-
 
 @dataclass(frozen=True)
 class WitnessPoint:
-    """Prime p and residues x with 1 <= x[i] < p and product 1 mod p."""
+    """Prime p and residues x with 1 <= x[i] < p and product 1 mod p; p < 2
+    is rejected here, so the normalized point is always defined."""
 
     p: int
     x: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if self.p < 2:
+            raise ValueError("p must be at least 2")
         object.__setattr__(self, "x", tuple(int(v) for v in self.x))
 
     @property
@@ -68,7 +70,11 @@ def witness_is_valid(witness: WitnessPoint) -> bool:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Everything needed to re-verify one approximation from scratch."""
+    """Everything needed to re-verify one approximation from scratch.
+
+    The errors, their maximum and the primality tag are derived from the
+    target and the witness, each computed at most once per certificate.
+    """
 
     target: TargetPoint
     eps: Fraction
@@ -76,11 +82,21 @@ class Certificate:
     congruence: CongruenceClass
     prime_floor: int
     witness: WitnessPoint
-    errors: tuple[Fraction, ...]
-    max_error: Fraction
-    primality_method: str
     mode: str
-    version: int = CERTIFICATE_VERSION
+
+    @cached_property
+    def errors(self) -> tuple[Fraction, ...]:
+        """Exact distance |t_i - x_i/p| in each coordinate."""
+        return tuple(abs(t - v) for t, v in zip(self.target.coords, self.witness.point))
+
+    @cached_property
+    def max_error(self) -> Fraction:
+        return max(self.errors)
+
+    @cached_property
+    def primality_method(self) -> str:
+        """How is_prime decides the primality of p."""
+        return primality_method(self.witness.p)
 
 
 def dirichlet_residue(chain: Chain) -> CongruenceClass:
@@ -154,37 +170,19 @@ def approximate(
     floor = max(min_prime_for_error(chain, eps / 2), min_p)
     congruence = dirichlet_residue(chain)
     p = next_prime_in_ap(congruence, floor)
-    witness = lift_chain(chain, p)
-    errors = tuple(
-        abs(t - Fraction(x, p)) for t, x in zip(target.coords, witness.x)
-    )
-    max_error = max(errors)
-    if max_error >= eps:  # excluded by the eps/2 + eps/2 split
-        raise RuntimeError(f"lift at p={p} misses eps: max error {max_error}")
-    return Certificate(
-        target=target,
-        eps=eps,
-        chain=chain,
-        congruence=congruence,
-        prime_floor=floor,
-        witness=witness,
-        errors=errors,
-        max_error=max_error,
-        primality_method=primality_method(p),
-        mode=config.mode,
-        version=CERTIFICATE_VERSION,
-    )
+    cert = Certificate(target, eps, chain, congruence, floor, lift_chain(chain, p), config.mode)
+    if cert.max_error >= eps:  # excluded by the eps/2 + eps/2 split
+        raise RuntimeError(f"lift at p={p} misses eps: max error {cert.max_error}")
+    return cert
 
 
 def check_certificate(cert: Certificate) -> str | None:
     """Recompute every claim from (target, eps, chain, p) alone; None when
     all hold, else a short reason code for the first failure."""
-    if cert.version != CERTIFICATE_VERSION:
-        return "version-unknown"
     if cert.mode not in MODES:
         return "mode-unknown"
     n = cert.target.n
-    if cert.chain.n != n or len(cert.witness.x) != n or len(cert.errors) != n:
+    if cert.chain.n != n or len(cert.witness.x) != n:
         return "dimension-mismatch"
     if not 0 < cert.eps <= 1:
         return "eps-out-of-range"
@@ -199,8 +197,6 @@ def check_certificate(cert: Certificate) -> str | None:
         return "prime-below-floor"
     if not is_prime(p):
         return "p-not-prime"
-    if cert.primality_method != primality_method(p):
-        return "primality-method-mismatch"
     if not cert.congruence.contains(p):
         return "p-not-in-class"
     try:
@@ -209,13 +205,6 @@ def check_certificate(cert: Certificate) -> str | None:
         return "lift-fails"
     if relifted.x != cert.witness.x:
         return "witness-mismatch"
-    errors = tuple(
-        abs(t - Fraction(x, p)) for t, x in zip(cert.target.coords, cert.witness.x)
-    )
-    if errors != cert.errors:
-        return "errors-mismatch"
-    if max(errors) != cert.max_error:
-        return "max-error-mismatch"
     if cert.max_error >= cert.eps:
         return "max-error-exceeds-eps"
     return None

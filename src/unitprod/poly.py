@@ -12,10 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .arith import check_eps
 from .chain import DEFAULT_CONFIG, BuilderConfig, TargetPoint
-from .lift import Certificate, WitnessPoint, approximate, check_certificate
+from .lift import Certificate, approximate, check_certificate
 
 
 @dataclass(frozen=True)
@@ -42,16 +43,32 @@ class MonicPolynomial:
 
 @dataclass(frozen=True)
 class PolyCertificate:
-    """A point certificate plus the exact polynomial values it induces."""
+    """A point certificate plus the exact polynomial values it induces.
+
+    The root precision, the values and their errors are derived from the
+    other fields, each computed at most once per certificate.
+    """
 
     f: MonicPolynomial
     alphas: TargetPoint
     eps: Fraction
     root_targets: TargetPoint
-    root_precision: Fraction
     inner: Certificate
-    values: tuple[Fraction, ...]
-    errors: tuple[Fraction, ...]
+
+    @cached_property
+    def root_precision(self) -> Fraction:
+        return _root_precision(self.eps, self.f.degree)
+
+    @cached_property
+    def values(self) -> tuple[Fraction, ...]:
+        """The exact values f(x_i)/p^d at the inner witness."""
+        p_power = self.inner.witness.p**self.f.degree
+        return tuple(Fraction(poly_eval(self.f, x), p_power) for x in self.inner.witness.x)
+
+    @cached_property
+    def errors(self) -> tuple[Fraction, ...]:
+        """Distance |f(x_i)/p^d - alpha_i| in each coordinate."""
+        return tuple(abs(v - a) for v, a in zip(self.values, self.alphas.coords))
 
 
 def poly_eval(f: MonicPolynomial, x: int) -> int:
@@ -81,10 +98,8 @@ def rational_root(
         raise ValueError("d must be at least 1")
     if d == 1:
         return alpha
-    k = 0
-    while Fraction(1, 2**k) > precision:
-        k += 1
-    scale = 2**k
+    # least k with 1/2^k <= precision, i.e. 2^k >= ceil(1/precision)
+    scale = 2 ** ((precision.denominator - 1) // precision.numerator).bit_length()
     rhs = alpha.numerator * scale**d
     lo, hi = 0, scale
     while lo < hi:
@@ -112,15 +127,6 @@ def _prime_floor(f: MonicPolynomial, eps: Fraction) -> int:
     return math.floor(2 * f.degree * f.height / eps) + 1
 
 
-def _values_and_errors(
-    f: MonicPolynomial, witness: WitnessPoint, alphas: TargetPoint
-) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """The exact values f(x_i)/p^d and their distances to the alphas."""
-    p_power = witness.p**f.degree
-    values = tuple(Fraction(poly_eval(f, x), p_power) for x in witness.x)
-    return values, tuple(abs(v - a) for v, a in zip(values, alphas.coords))
-
-
 def approximate_polynomial(
     f: MonicPolynomial,
     alphas: TargetPoint,
@@ -135,20 +141,12 @@ def approximate_polynomial(
     precision = _root_precision(eps, d)
     roots = TargetPoint(tuple(rational_root(a, d, precision) for a in alphas.coords))
     inner = approximate(roots, _inner_eps(eps, d), config, min_p=_prime_floor(f, eps))
-    p = inner.witness.p
-    values, errors = _values_and_errors(f, inner.witness, alphas)
-    if max(errors) >= eps:  # excluded by the budget split and prime floor
-        raise RuntimeError(f"witness at p={p} misses eps: max error {max(errors)}")
-    return PolyCertificate(
-        f=f,
-        alphas=alphas,
-        eps=eps,
-        root_targets=roots,
-        root_precision=precision,
-        inner=inner,
-        values=values,
-        errors=errors,
-    )
+    cert = PolyCertificate(f, alphas, eps, roots, inner)
+    if max(cert.errors) >= eps:  # excluded by the budget split and prime floor
+        raise RuntimeError(
+            f"witness at p={inner.witness.p} misses eps: max error {max(cert.errors)}"
+        )
+    return cert
 
 
 def check_poly_certificate(cert: PolyCertificate) -> str | None:
@@ -156,12 +154,10 @@ def check_poly_certificate(cert: PolyCertificate) -> str | None:
     short reason code."""
     d = cert.f.degree
     n = cert.alphas.n
-    if cert.root_targets.n != n or len(cert.values) != n or len(cert.errors) != n:
+    if cert.root_targets.n != n:
         return "dimension-mismatch"
     if not 0 < cert.eps <= 1:
         return "eps-out-of-range"
-    if cert.root_precision != _root_precision(cert.eps, d):
-        return "root-precision-mismatch"
     expected_roots = tuple(
         rational_root(a, d, cert.root_precision) for a in cert.alphas.coords
     )
@@ -176,12 +172,7 @@ def check_poly_certificate(cert: PolyCertificate) -> str | None:
         return f"inner-{reason}"
     if cert.inner.witness.p < _prime_floor(cert.f, cert.eps):
         return "prime-floor-too-low"
-    values, errors = _values_and_errors(cert.f, cert.inner.witness, cert.alphas)
-    if values != cert.values:
-        return "values-mismatch"
-    if errors != cert.errors:
-        return "errors-mismatch"
-    if max(errors) >= cert.eps:
+    if max(cert.errors) >= cert.eps:
         return "error-exceeds-eps"
     return None
 

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from unitprod.certio import (
 from unitprod.chain import TargetPoint
 from unitprod.errors import CertificateFormatError
 from unitprod.lab import box_discrepancy
-from unitprod.lift import approximate, verify_certificate
+from unitprod.lift import WitnessPoint, approximate, check_certificate, verify_certificate
 from unitprod.poly import MonicPolynomial, approximate_polynomial, verify_poly_certificate
 
 TARGET = TargetPoint((Fraction(1, 2), Fraction(2, 3), Fraction(3, 5)))
@@ -90,9 +91,22 @@ def test_parse_rejects_malformed(point_cert):
 
 
 def test_parsed_tampering_is_caught(point_cert):
+    # the errors line no longer matches the witness
     document = serialize_certificate(point_cert)
-    tampered = parse_document(document.replace("witness: 17,20,18", "witness: 17,21,18"))
-    assert not verify_certificate(tampered)
+    with pytest.raises(CertificateFormatError, match="field errors"):
+        parse_document(document.replace("witness: 17,20,18", "witness: 17,21,18"))
+
+
+def test_consistent_witness_edit_fails_the_relift(point_cert):
+    # witness and errors edited together parse; the checker's relift at p
+    # then exposes the witness
+    edited = dataclasses.replace(point_cert, witness=WitnessPoint(29, (17, 21, 18)))
+    document = serialize_certificate(edited)
+    original = serialize_certificate(point_cert).splitlines()
+    changed = [line.partition(":")[0] for line, old in zip(document.splitlines(), original)
+               if line != old]
+    assert changed == ["witness", "errors"]
+    assert check_certificate(parse_document(document)) == "witness-mismatch"
 
 
 def test_poly_requires_inner_block(poly_cert):

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -20,14 +21,27 @@ def run(capsys, *argv):
 def test_lift_worked_example(capsys):
     code, out, _ = run(capsys, "lift", "--chain", "1,2,3,5", "--min-p", "2")
     assert code == 0
-    assert "p: 29" in out
-    assert "witness: 17,20,18" in out
+    assert out == (
+        "chain: 1,2,3,5\n"
+        "congruence: p = 29 mod 30\n"
+        "p: 29\n"
+        "witness: 17,20,18\n"
+        "point: 17/29,20/29,18/29\n"
+        "gaps-to-chain: 5/58,2/87,3/145\n"
+    )
 
 
 def test_lift_explicit_prime(capsys):
     code, out, _ = run(capsys, "lift", "--chain", "1,2,3,5", "--p", "59")
     assert code == 0
-    assert "witness: 32,40,36" in out
+    assert out == (
+        "chain: 1,2,3,5\n"
+        "congruence: p = 29 mod 30\n"
+        "p: 59\n"
+        "witness: 32,40,36\n"
+        "point: 32/59,40/59,36/59\n"
+        "gaps-to-chain: 5/118,2/177,3/295\n"
+    )
 
 
 def test_lift_rejects_bad_inputs(capsys):
@@ -103,7 +117,14 @@ def test_approx_dimension_two_notes(capsys):
 def test_chain_subcommand(capsys):
     code, out, _ = run(capsys, "chain", "--target", "1/2,2/3,3/5", "--eps", "1/10")
     assert code == 0
-    assert "chain: 1,2,3,5" in out
+    assert out == (
+        "target: 1/2,2/3,3/5\n"
+        "eps: 1/10\n"
+        "chain: 1,2,3,5\n"
+        "point: 1/2,2/3,3/5\n"
+        "errors: 0/1,0/1,0/1\n"
+        "max-error: 0/1\n"
+    )
 
 
 # ---------------------------------------------------------------- poly
@@ -124,7 +145,7 @@ def test_poly_coeffs_length_mismatch(capsys):
         capsys, "poly", "--degree", "3", "--coeffs", "1,0",
         "--target", "1/2,1/2", "--eps", "1/10",
     )
-    assert code == 3
+    assert code == 3 and "coefficient" in err
 
 
 # ---------------------------------------------------------------- enumerate / discrepancy / jacobsthal
@@ -210,6 +231,11 @@ def test_usage_errors_exit_two(capsys):
         ("witness: 17,20,18", "witness: +17, 20,018"),
         ("primality: miller-rabin-deterministic", "primality: pratt-proof"),
         ("mode: search", "mode: anything goes"),
+        ("max-error: 5/58", "max-error: 1/1000"),
+        ("errors: 5/58,2/87,3/145", "errors: 0/1,2/87,3/145"),
+        ("p: 29", "p: 0"),
+        ("p: 29", "p: -29"),
+        ("witness: 17,20,18", "witness: 17,20"),
     ],
 )
 def test_verify_rejects_edited_fields(tmp_path, capsys, canonical, variant):
@@ -218,6 +244,29 @@ def test_verify_rejects_edited_fields(tmp_path, capsys, canonical, variant):
     text = cert_path.read_text()
     assert canonical + "\n" in text
     cert_path.write_text(text.replace(canonical + "\n", variant + "\n"))
+    code, out, _ = run(capsys, "verify", "--cert", str(cert_path))
+    assert code == 1
+    assert out.startswith("invalid certificate: ")
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("values", "1/2,1/2,1/2"),
+        ("root-precision", "1/100"),
+        ("  max-error", "1/1000"),  # the inner certificate's
+    ],
+)
+def test_verify_rejects_edited_poly_fields(tmp_path, capsys, key, value):
+    cert_path = tmp_path / "poly.cert"
+    run(
+        capsys, "poly", "--degree", "2", "--coeffs", "1,0",
+        "--target", "1/2,1/2,1/2", "--eps", "1/10", "--out", str(cert_path),
+    )
+    lines = cert_path.read_text().splitlines()
+    [i] = [i for i, line in enumerate(lines) if line.startswith(key + ": ")]
+    lines[i] = f"{key}: {value}"
+    cert_path.write_text("\n".join(lines) + "\n")
     code, out, _ = run(capsys, "verify", "--cert", str(cert_path))
     assert code == 1
     assert out.startswith("invalid certificate: ")
@@ -287,3 +336,35 @@ def test_verify_verdicts_hold_without_asserts(tmp_path):
     assert fresh_process("verify", "--cert", str(golden), flags=("-O",)) == (0, "valid\n")
     code, out = fresh_process("verify", "--cert", str(tampered), flags=("-O",))
     assert code == 1 and out.startswith("invalid certificate: ")
+    # a prime below 2 and a witness shorter than the target end at the parser
+    for line in ("p: 0\n", "p: -7\n", "witness: 15227750,24880830\n"):
+        key = line.partition(":")[0]
+        edited = [line if old.startswith(key + ": ") else old
+                  for old in golden.read_text().splitlines(keepends=True)]
+        tampered.write_text("".join(edited))
+        code, out = fresh_process("verify", "--cert", str(tampered), flags=("-O",))
+        assert code == 1 and out.startswith("invalid certificate: "), line
+
+
+def test_verify_rejects_a_claimed_degree_past_the_digit_limit(tmp_path, capsys):
+    # at degree 2000 the derived values f(x)/p^d are too long to write as
+    # decimals; the short values line must be rejected, not end in exit 3
+    golden = Path(__file__).parent / "data" / "golden" / "poly-d1.cert"
+    degree = 2000
+    precision = Fraction(1, 10) / 2 ** (degree + 2)
+    replace = {
+        "degree": str(degree),
+        "coeffs": ",".join(["3"] + ["0"] * (degree - 1)),
+        "root-precision": f"{precision.numerator}/{precision.denominator}",
+    }
+    lines = golden.read_text().splitlines()
+    assert {line.partition(": ")[0] for line in lines} >= replace.keys()
+    hostile = tmp_path / "hostile.cert"
+    hostile.write_text("".join(
+        f"{key}: {replace[key]}\n" if key in replace else line + "\n"
+        for line in lines for key in [line.partition(": ")[0]]
+    ))
+    code, out, _ = run(capsys, "verify", "--cert", str(hostile))
+    assert code == 1 and out.startswith("invalid certificate: field values: ")
+    code, out = fresh_process("verify", "--cert", str(hostile), flags=("-O",))
+    assert code == 1 and out.startswith("invalid certificate: field values: ")

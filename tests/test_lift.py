@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from unitprod.arith import CongruenceClass, is_prime
+from unitprod.arith import DETERMINISTIC_PRIMALITY_BOUND, CongruenceClass, is_prime
 from unitprod.chain import Chain, TargetPoint
 from unitprod import lift
-from unitprod.errors import CongruenceViolated
+from unitprod.certio import parse_document, serialize_certificate
+from unitprod.errors import CertificateFormatError, CongruenceViolated
 from unitprod.lift import (
     WitnessPoint,
     approximate,
@@ -147,6 +148,12 @@ def test_witness_validity():
     assert not witness_is_valid(WitnessPoint(29, (0, 20, 18)))
 
 
+@pytest.mark.parametrize("p", [1, 0, -29])
+def test_witness_rejects_p_below_two(p):
+    with pytest.raises(ValueError):
+        WitnessPoint(p, (1, 1, 1))
+
+
 # ---------------------------------------------------------------- approximate
 
 def test_approximate_worked_example():
@@ -215,14 +222,6 @@ def test_verify_detects_tampering():
     assert check_certificate(tampered) == "witness-mismatch"
     assert not verify_certificate(tampered)
 
-    tampered = dataclasses.replace(cert, max_error=Fraction(1, 1000))
-    assert check_certificate(tampered) == "max-error-mismatch"
-
-    tampered = dataclasses.replace(
-        cert, errors=(Fraction(0), Fraction(2, 87), Fraction(3, 145))
-    )
-    assert check_certificate(tampered) == "errors-mismatch"
-
     tampered = dataclasses.replace(cert, chain=Chain((1, 2, 4, 5)))
     assert check_certificate(tampered) == "chain-invalid"
 
@@ -232,11 +231,12 @@ def test_verify_detects_tampering():
     tampered = dataclasses.replace(cert, prime_floor=2)
     assert check_certificate(tampered) == "prime-floor-below-error-bound"
 
-    tampered = dataclasses.replace(cert, witness=WitnessPoint(59, (32, 40, 36)))
-    assert check_certificate(tampered) == "errors-mismatch"
-
-    tampered = dataclasses.replace(cert, version=7)
-    assert check_certificate(tampered) == "version-unknown"
+    # the errors follow the witness, so the lift at the next prime of the
+    # class is a certificate in its own right
+    moved = dataclasses.replace(cert, witness=WitnessPoint(59, (32, 40, 36)))
+    assert moved.errors == (Fraction(5, 118), Fraction(2, 177), Fraction(3, 295))
+    assert moved.max_error == Fraction(5, 118)
+    assert check_certificate(moved) is None
 
     tampered = dataclasses.replace(cert, eps=Fraction(1, 100))
     assert check_certificate(tampered) in (
@@ -246,9 +246,16 @@ def test_verify_detects_tampering():
 
 
 def test_verify_checks_primality_tag():
+    # the tag is derived from p, so an edited primality line fails to parse
     cert = approximate(TARGET, Fraction(1, 5))
-    tampered = dataclasses.replace(cert, primality_method="pratt-proof")
-    assert check_certificate(tampered) == "primality-method-mismatch"
+    assert cert.primality_method == "miller-rabin-deterministic"
+    large = dataclasses.replace(
+        cert, witness=WitnessPoint(DETERMINISTIC_PRIMALITY_BOUND + 2, (1, 1, 1))
+    )
+    assert large.primality_method == "miller-rabin-probabilistic-64"
+    document = serialize_certificate(cert)
+    with pytest.raises(CertificateFormatError, match="field primality"):
+        parse_document(document.replace("miller-rabin-deterministic", "pratt-proof"))
 
 
 def test_verify_checks_mode_tag():

@@ -147,26 +147,24 @@ def test_poly_verify_detects_tampering():
     cert = approximate_polynomial(f, HALVES, Fraction(1, 10))
     assert check_poly_certificate(cert) is None
 
-    tampered = dataclasses.replace(cert, values=(Fraction(1, 2),) + cert.values[1:])
-    assert check_poly_certificate(tampered) == "values-mismatch"
-
-    tampered = dataclasses.replace(cert, errors=(Fraction(0),) + cert.errors[1:])
-    assert check_poly_certificate(tampered) == "errors-mismatch"
-
-    tampered = dataclasses.replace(cert, root_precision=Fraction(1, 100))
-    assert check_poly_certificate(tampered) == "root-precision-mismatch"
-
+    # the values follow f: x^2 + 2 moves them by 1/p^2, so the same witness
+    # certifies it too, while a height that needs a larger prime does not
     tampered = dataclasses.replace(cert, f=MonicPolynomial(2, (2, 0)))
-    assert check_poly_certificate(tampered) is not None
+    assert check_poly_certificate(tampered) is None
+    tampered = dataclasses.replace(cert, f=MonicPolynomial(2, (10**9, 0)))
+    assert check_poly_certificate(tampered) == "prime-floor-too-low"
 
     tampered = dataclasses.replace(
         cert, root_targets=TargetPoint((Fraction(1, 2),) * 3)
     )
     assert check_poly_certificate(tampered) == "root-targets-mismatch"
 
-    inner = dataclasses.replace(cert.inner, max_error=Fraction(1, 10**9))
-    tampered = dataclasses.replace(cert, inner=inner)
-    assert check_poly_certificate(tampered) == "inner-max-error-mismatch"
+    # the values follow the inner witness; an edited residue fails its relift
+    x = cert.inner.witness.x
+    witness = dataclasses.replace(cert.inner.witness, x=(x[0] + 1,) + x[1:])
+    tampered = dataclasses.replace(cert, inner=dataclasses.replace(cert.inner, witness=witness))
+    assert tampered.values[1:] == cert.values[1:] and tampered.values[0] != cert.values[0]
+    assert check_poly_certificate(tampered) == "inner-witness-mismatch"
 
 
 def test_poly_guard_survives_without_asserts(monkeypatch):
