@@ -18,6 +18,23 @@ from .errors import InputTooLarge, ModuliNotCoprime, NotCoprime, SearchExhausted
 # deterministic primality test (Sorenson & Webster, first 13 primes).
 DETERMINISTIC_PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
 _DETERMINISTIC_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# (psi_k, k): psi_k is the least strong pseudoprime to all of the first k
+# prime bases (Pomerance, Selfridge & Wagstaff 1980; Jaeschke 1993; Jiang &
+# Deng 2014; Sorenson & Webster 2017), so for n < psi_k those k bases decide
+# n. psi_8 = psi_7 and psi_9 = psi_10 = psi_11, hence no rows for k = 8, 10,
+# 11; psi_12 needs all 12 bases.
+_BASE_COUNTS = (
+    (2_047, 1),
+    (1_373_653, 2),
+    (25_326_001, 3),
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+    (318_665_857_834_031_151_167_461, 12),
+    (DETERMINISTIC_PRIMALITY_BOUND, 13),
+)
 DEFAULT_MILLER_RABIN_ROUNDS = 64
 
 TRIAL_DIVISION_LIMIT = 10**6
@@ -58,22 +75,34 @@ class CongruenceClass:
         return value % self.modulus == self.residue
 
 
-def strict_floor(q: Fraction | int) -> int:
-    """Largest integer strictly less than q."""
-    q = Fraction(q)
-    return (q.numerator - 1) // q.denominator
+def strict_floor(num: Fraction | int, den: int = 1) -> int:
+    """Largest integer strictly less than num/den, for den > 0.
+
+    >>> strict_floor(14, 4), strict_floor(Fraction(7, 2)), strict_floor(3)
+    (3, 3, 2)
+    """
+    return -(-num // den) - 1
 
 
-def strict_ceil(q: Fraction | int) -> int:
-    """Smallest integer strictly greater than q."""
-    q = Fraction(q)
-    return q.numerator // q.denominator + 1
+def strict_ceil(num: Fraction | int, den: int = 1) -> int:
+    """Smallest integer strictly greater than num/den, for den > 0.
+
+    >>> strict_ceil(14, 4), strict_ceil(Fraction(7, 2)), strict_ceil(3)
+    (4, 4, 4)
+    """
+    return num // den + 1
+
+
+def as_fraction(q: Fraction | int | str) -> Fraction:
+    """q as a Fraction, returning a Fraction argument itself (they are
+    immutable) instead of a copy."""
+    return q if type(q) is Fraction else Fraction(q)
 
 
 def check_eps(eps: Fraction | int | str) -> Fraction:
     """eps as a Fraction; ValueError unless 0 < eps <= 1."""
-    eps = Fraction(eps)
-    if not 0 < eps <= 1:
+    eps = as_fraction(eps)
+    if not 0 < eps.numerator <= eps.denominator:
         raise ValueError("eps must lie in (0, 1]")
     return eps
 
@@ -124,11 +153,12 @@ def _miller_rabin_passes(n: int, a: int, d: int, s: int) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Trial division by the primes of the base set, then Miller-Rabin.
+    """Trial division by the 13 primes 2..41, then Miller-Rabin.
 
-    Deterministic below DETERMINISTIC_PRIMALITY_BOUND via the fixed base set;
-    above it, DEFAULT_MILLER_RABIN_ROUNDS bases are drawn from an RNG seeded
-    by n itself, so the answer is still reproducible run to run.
+    Deterministic below DETERMINISTIC_PRIMALITY_BOUND: n gets the first k of
+    those primes as bases, the least k that _BASE_COUNTS proves enough for
+    its size. Above it, DEFAULT_MILLER_RABIN_ROUNDS bases are drawn from an
+    RNG seeded by n itself, so the answer is still reproducible run to run.
     """
     if n < 2:
         return False
@@ -139,7 +169,8 @@ def is_prime(n: int) -> bool:
     s = (d & -d).bit_length() - 1
     d >>= s
     if n < DETERMINISTIC_PRIMALITY_BOUND:
-        bases: Iterable[int] = _DETERMINISTIC_BASES
+        k = next(k for bound, k in _BASE_COUNTS if n < bound)
+        bases: Iterable[int] = _DETERMINISTIC_BASES[:k]
     else:
         # drawn lazily: most composites fail on the first base
         rng = random.Random(n)
@@ -177,8 +208,10 @@ def next_prime_in_ap(cls: CongruenceClass, lower: int) -> int:
 
 
 def next_prime(lower: int) -> int:
-    """Smallest prime >= lower."""
-    return next_prime_in_ap(CongruenceClass(0, 1), lower)
+    """Smallest prime >= lower; above 2 only odd candidates are tested."""
+    if lower <= 2:
+        return 2
+    return next_prime_in_ap(CongruenceClass(1, 2), lower)
 
 
 def factorize(n: int) -> Factorization:

@@ -6,6 +6,10 @@ integer), or raises NoCandidate so the caller can escalate. Both start at
 the real minimizer: the numerator search walks outward from it, so the
 first admissible value met is the global argmin; the denominator search
 needs only the two integers nearest it on each side.
+
+Windows, walks and distances are exact integer arithmetic: each bound is
+cross-multiplied over the numerators and denominators of x, eps and
+min_ratio, so no Fraction is built after the arguments are read.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .arith import check_eps, is_prime, strict_ceil, strict_floor
+from .arith import as_fraction, check_eps, is_prime, strict_ceil, strict_floor
 from .errors import NoCandidate
 
 
@@ -34,21 +38,25 @@ def find_coprime_numerator(
     >>> find_coprime_numerator(Fraction(1, 2), 7, 7, Fraction(1, 5), Fraction(1, 10))
     3
     """
-    x, min_ratio = Fraction(x), Fraction(min_ratio)
-    if not 0 <= x <= 1:
+    x, min_ratio = as_fraction(x), as_fraction(min_ratio)
+    xn, xd = x.numerator, x.denominator
+    rn, rd = min_ratio.numerator, min_ratio.denominator
+    if not 0 <= xn <= xd:
         raise ValueError("x must lie in [0, 1]")
     eps = check_eps(eps)
+    en, ed = eps.numerator, eps.denominator
     if b < 2:
         raise ValueError("denominator must be at least 2")
     if Q % b != 0:
         raise ValueError("Q must be a multiple of b")
-    if not 0 <= min_ratio < 1:
+    if not 0 <= rn < rd:
         raise ValueError("min_ratio must lie in [0, 1)")
 
-    t = x * b
-    radius = eps * b
-    a_min = max(1, strict_ceil(min_ratio * b), strict_ceil(t - radius))
-    a_max = min(b - 1, strict_floor(t + radius))
+    # t = x*b is the real minimizer; the window is t -+ eps*b = (b*xn*ed -+
+    # b*en*xd) / (xd*ed), ends excluded, and a > min_ratio*b
+    center, radius, den = b * xn * ed, b * en * xd, xd * ed
+    a_min = max(1, strict_ceil(rn * b, rd), strict_ceil(center - radius, den))
+    a_max = min(b - 1, strict_floor(center + radius, den))
     if a_min > a_max:
         raise NoCandidate(
             f"no admissible numerator for x={x}, b={b}, eps={eps}, min_ratio={min_ratio}"
@@ -56,13 +64,14 @@ def find_coprime_numerator(
 
     # Everything in [a_min, a_max] already satisfies the range, distance and
     # ratio constraints; only coprimality with Q remains to be tested.
-    lo = min(math.floor(t), a_max)
+    twice_t = 2 * b * xn  # t - lo <= hi - t  <=>  twice_t <= (lo + hi) * xd
+    lo = min(b * xn // xd, a_max)
     hi = lo + 1
     if hi < a_min:
         hi = a_min
         lo = a_min - 1
     while lo >= a_min or hi <= a_max:
-        if lo >= a_min and (hi > a_max or t - lo <= hi - t):
+        if lo >= a_min and (hi > a_max or twice_t <= (lo + hi) * xd):
             a = lo  # tie prefers the smaller numerator
             lo -= 1
         else:
@@ -91,21 +100,27 @@ def find_denominator_for_prime(
     >>> find_denominator_for_prime(29, Fraction(1, 2), Fraction(1, 10))
     59
     """
-    x, min_ratio = Fraction(x), Fraction(min_ratio)
+    x, min_ratio = as_fraction(x), as_fraction(min_ratio)
+    xn, xd = x.numerator, x.denominator
+    rn, rd = min_ratio.numerator, min_ratio.denominator
     if not is_prime(a_prime):
         raise ValueError("a_prime must be prime")
-    if not 0 <= x <= 1:
+    if not 0 <= xn <= xd:
         raise ValueError("x must lie in [0, 1]")
     eps = check_eps(eps)
-    if not 0 <= min_ratio < 1:
+    en, ed = eps.numerator, eps.denominator
+    if not 0 <= rn < rd:
         raise ValueError("min_ratio must lie in [0, 1)")
 
-    m_lo = max(a_prime + 1, strict_ceil(a_prime / (x + eps)))
-    m_hi = a_prime + math.ceil(2 * a_prime / eps)
-    if min_ratio > 0:
-        m_hi = min(m_hi, strict_floor(a_prime / min_ratio))
-    if x > eps:
-        m_hi = min(m_hi, strict_floor(a_prime / (x - eps)))
+    # a_prime/m within eps of x = xn/xd means xn/xd - en/ed < a_prime/m <
+    # xn/xd + en/ed, i.e. a_prime*xd*ed / (xn*ed +- en*xd) bounds m
+    scaled, above, below = a_prime * xd * ed, xn * ed + en * xd, xn * ed - en * xd
+    m_lo = max(a_prime + 1, strict_ceil(scaled, above))
+    m_hi = a_prime - (-2 * a_prime * ed // en)  # a_prime + ceil(2*a_prime/eps)
+    if rn > 0:
+        m_hi = min(m_hi, strict_floor(a_prime * rd, rn))
+    if below > 0:
+        m_hi = min(m_hi, strict_floor(scaled, below))
     if m_lo > m_hi:
         raise NoCandidate(
             f"no admissible denominator for a_prime={a_prime}, x={x}, "
@@ -116,15 +131,19 @@ def find_denominator_for_prime(
     # and a prime never divides two consecutive m, so the best admissible m
     # is one of the two nearest the bottom on either side, clamped into the
     # window.
-    bottom = m_hi if x == 0 else math.floor(Fraction(a_prime, 1) / x)
+    bottom = m_hi if xn == 0 else a_prime * xd // xn
     lo = min(bottom, m_hi)
     hi = max(lo + 1, m_lo)
-    admissible = [m for m in (lo - 1, lo, hi, hi + 1) if m_lo <= m <= m_hi and m % a_prime]
-    if admissible:
-        # key: the distance times x's denominator; min keeps the first of
-        # equal keys, and the candidates ascend, so ties go to the smaller m
-        num, den = x.numerator, x.denominator
-        return min(admissible, key=lambda m: Fraction(abs(num * m - a_prime * den), m))
+    best = None
+    for m in (lo - 1, lo, hi, hi + 1):
+        if m_lo <= m <= m_hi and m % a_prime:
+            # distance times xd is gap/m; the candidates ascend and only a
+            # strictly smaller distance replaces, so ties go to the smaller m
+            gap = abs(xn * m - a_prime * xd)
+            if best is None or gap * best < best_gap * m:
+                best, best_gap = m, gap
+    if best is not None:
+        return best
     raise NoCandidate(
         f"only multiples of {a_prime} in the window for x={x}, eps={eps}, "
         f"min_ratio={min_ratio}"

@@ -13,6 +13,7 @@ from unitprod.arith import (
     is_prime,
     jacobsthal,
     mod_inverse,
+    next_prime,
     next_prime_in_ap,
     primality_method,
     strict_ceil,
@@ -36,6 +37,17 @@ def test_strict_bounds():
     assert strict_ceil(Fraction(7, 2)) == 4
     assert strict_floor(Fraction(-3, 2)) == -2
     assert strict_ceil(Fraction(-3, 2)) == -1
+    # numerator and denominator given apart, any representation of the value
+    assert strict_floor(14, 4) == strict_floor(7, 2) == 3
+    assert strict_ceil(14, 4) == strict_ceil(7, 2) == 4
+    assert strict_floor(12, 4) == 2 and strict_ceil(12, 4) == 4
+    assert strict_floor(-6, 4) == -2 and strict_ceil(-6, 4) == -1
+    for num in range(-30, 31):
+        for den in range(1, 8):
+            assert strict_floor(num, den) == strict_floor(Fraction(num, den))
+            assert strict_ceil(num, den) == strict_ceil(Fraction(num, den))
+            assert strict_floor(num, den) < Fraction(num, den) <= strict_floor(num, den) + 1
+            assert strict_ceil(num, den) - 1 <= Fraction(num, den) < strict_ceil(num, den)
 
 
 # ---------------------------------------------------------------- mod_inverse
@@ -144,6 +156,97 @@ def test_is_prime_large():
     assert not is_prime(mersenne_89 * 1000003)
     assert primality_method(mersenne_89) == "miller-rabin-probabilistic-64"
     assert primality_method(29) == "miller-rabin-deterministic"
+
+
+# psi_k, the least strong pseudoprime to all of the first k prime bases, for
+# k = 1..13 (Pomerance, Selfridge & Wagstaff 1980; Jaeschke 1993; Jiang &
+# Deng 2014; Sorenson & Webster 2017), written out apart from arith's table
+PSI = (
+    2_047,
+    1_373_653,
+    25_326_001,
+    3_215_031_751,
+    2_152_302_898_747,
+    3_474_749_660_383,
+    341_550_071_728_321,
+    341_550_071_728_321,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    318_665_857_834_031_151_167_461,
+    3_317_044_064_679_887_385_961_981,
+)
+BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _strong_probable_prime(n, bases):
+    """True iff odd n > 1 passes the strong test to every base in bases."""
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    return all(arith._miller_rabin_passes(n, a, d, s) for a in bases)
+
+
+def _full_13_base_test(n):
+    """Trial division by the 13 bases, then all 13 of them as witnesses."""
+    if n < 2:
+        return False
+    for p in BASES:
+        if n % p == 0:
+            return n == p
+    return _strong_probable_prime(n, BASES)
+
+
+def test_psi_table_is_tight():
+    # psi_k passes the first k bases, so no base count below the table's is
+    # enough for it; is_prime, which grades its bases by size, rejects it
+    assert PSI[-1] == DETERMINISTIC_PRIMALITY_BOUND
+    # arith's rows: each distinct psi_k with the fewest bases proved for it
+    assert [bound for bound, _ in arith._BASE_COUNTS] == sorted(set(PSI))
+    for bound, k in arith._BASE_COUNTS:
+        assert bound == PSI[k - 1] and (k == 1 or PSI[k - 2] < bound)
+    for k, psi in enumerate(PSI, start=1):
+        assert _strong_probable_prime(psi, BASES[:k])
+        assert not is_prime(psi)
+
+
+def test_is_prime_around_each_psi():
+    for psi in PSI:
+        for n in range(psi - 40, psi + 41):
+            if n < DETERMINISTIC_PRIMALITY_BOUND and n not in PSI:
+                assert is_prime(n) == _full_13_base_test(n), n
+        if psi < DETERMINISTIC_PRIMALITY_BOUND:
+            assert {primality_method(n) for n in (psi - 1, psi, psi + 1)} == {
+                "miller-rabin-deterministic"
+            }
+    bound = DETERMINISTIC_PRIMALITY_BOUND
+    assert primality_method(bound - 1) == "miller-rabin-deterministic"
+    assert primality_method(bound) == primality_method(bound + 1) == (
+        "miller-rabin-probabilistic-64"
+    )
+
+
+def test_is_prime_matches_full_base_set():
+    rng = random.Random(1004)
+    primes = 0
+    for _ in range(20_000):
+        bits = rng.randint(2, 81)
+        n = rng.getrandbits(bits) | 1 | (1 << (bits - 1))
+        assert n < DETERMINISTIC_PRIMALITY_BOUND
+        expected = _full_13_base_test(n)
+        assert is_prime(n) == expected, n
+        primes += expected
+    assert primes > 500  # the sample is not all composites
+
+
+def test_next_prime_matches_full_scan():
+    # odd-only stepping must find the prime the all-integer scan finds
+    for lower in range(-3, 3000):
+        assert next_prime(lower) == next_prime_in_ap(CongruenceClass(0, 1), lower)
+    rng = random.Random(1005)
+    for _ in range(200):
+        lower = rng.getrandbits(rng.randint(20, 100))
+        assert next_prime(lower) == next_prime_in_ap(CongruenceClass(0, 1), lower)
 
 
 # ---------------------------------------------------------------- next_prime_in_ap

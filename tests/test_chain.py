@@ -144,6 +144,33 @@ def test_build_chain_floor_ladder(monkeypatch, mode, eps, n):
     assert floors == (below if mode == "search" else []) + [faithful_floor]
 
 
+def test_one_denominator_search_per_attempt(monkeypatch):
+    # the benchmark's trace counts attempts as find_denominator_for_prime calls
+    per_attempt = []  # find_denominator_for_prime calls of each attempt
+    attempt = chain_module._attempt_chain
+    search = chain_module.find_denominator_for_prime
+
+    def counted_attempt(*args):
+        per_attempt.append(0)
+        return attempt(*args)
+
+    def counted_search(*args):
+        per_attempt[-1] += 1
+        return search(*args)
+
+    monkeypatch.setattr(chain_module, "_attempt_chain", counted_attempt)
+    monkeypatch.setattr(chain_module, "find_denominator_for_prime", counted_search)
+    rng = random.Random(3002)
+    for _ in range(50):
+        n = rng.choice((2, 3, 5, 8))
+        eps = rng.choice((Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000)))
+        before = len(per_attempt)
+        build_chain(rand_target(rng, n), eps)
+        assert len(per_attempt) > before
+    assert per_attempt == [1] * len(per_attempt)
+    assert len(per_attempt) > 100  # most targets needed more than one attempt
+
+
 def test_search_mode_defers_faithful_parameters(monkeypatch):
     def unused(eps, n):
         raise AssertionError("faithful_parameters called below the cheap bound")
