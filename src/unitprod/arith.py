@@ -6,11 +6,12 @@ certificate-relevant computation.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InputTooLarge, ModuliNotCoprime, NotCoprime, SearchExhausted
 
@@ -36,6 +37,15 @@ _BASE_COUNTS = (
     (DETERMINISTIC_PRIMALITY_BOUND, 13),
 )
 DEFAULT_MILLER_RABIN_ROUNDS = 64
+
+# primality tags stored in certificates
+DETERMINISTIC_TAG = "miller-rabin-deterministic"
+PROBABILISTIC_TAG = f"miller-rabin-probabilistic-{DEFAULT_MILLER_RABIN_ROUNDS}"
+LUCAS_TAG = "lucas-n-plus-1"
+# values of P that lucas_n_plus_1 tries, from 3 up
+LUCAS_PARAMETERS = 64
+# prime_factor_candidates finds by gcd every prime factor below this
+SMALL_PRIME_LIMIT = 2**12
 
 TRIAL_DIVISION_LIMIT = 10**6
 JACOBSTHAL_SCAN_LIMIT = 10**7
@@ -165,6 +175,12 @@ def is_prime(n: int) -> bool:
     for p in _DETERMINISTIC_BASES:
         if n % p == 0:
             return n == p
+    return all(_strong_tests(n))
+
+
+def _strong_tests(n: int) -> Iterator[bool]:
+    """is_prime's Miller-Rabin rounds for n > 41, run lazily one per item:
+    most composites fail on the first base."""
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
@@ -172,39 +188,234 @@ def is_prime(n: int) -> bool:
         k = next(k for bound, k in _BASE_COUNTS if n < bound)
         bases: Iterable[int] = _DETERMINISTIC_BASES[:k]
     else:
-        # drawn lazily: most composites fail on the first base
         rng = random.Random(n)
         bases = (rng.randrange(2, n - 1) for _ in range(DEFAULT_MILLER_RABIN_ROUNDS))
-    return all(_miller_rabin_passes(n, a, d, s) for a in bases)
+    return (_miller_rabin_passes(n, a, d, s) for a in bases)
+
+
+def _first_test_passes(n: int) -> bool:
+    """is_prime's trial division and its first Miller-Rabin base only."""
+    for p in _DETERMINISTIC_BASES:
+        if n % p == 0:
+            return n == p
+    return next(_strong_tests(n))
 
 
 def primality_method(n: int) -> str:
-    """Tag recording how is_prime decided n (stored in certificates)."""
+    """Tag recording how is_prime decides n (stored in certificates)."""
     if n < DETERMINISTIC_PRIMALITY_BOUND:
-        return "miller-rabin-deterministic"
-    return f"miller-rabin-probabilistic-{DEFAULT_MILLER_RABIN_ROUNDS}"
+        return DETERMINISTIC_TAG
+    return PROBABILISTIC_TAG
 
 
-def next_prime_in_ap(cls: CongruenceClass, lower: int) -> int:
-    """Smallest prime p >= lower with p in the given residue class.
+def jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0.
 
-    Scans the progression term by term. Existence is guaranteed whenever
-    gcd(residue, modulus) = 1; the cap of DEFAULT_PRIME_SEARCH_STEPS terms is
-    purely pragmatic.
+    >>> jacobi(5, 7), jacobi(2, 7), jacobi(21, 15)
+    (-1, 1, 0)
+    """
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _lucas_v(p: int, k: int, n: int) -> int:
+    """V_k(P, 1) mod n, from the ladder on the pairs (V_j, V_j+1).
+
+    With Q = 1, V_j(V_k(P)) = V_jk(P), so a ladder may start from the value
+    of another one.
+    """
+    v, w = 2, p % n
+    for bit in bin(k)[2:]:
+        if bit == "1":
+            v, w = (v * w - p) % n, (w * w - 2) % n
+        else:
+            v, w = (v * v - 2) % n, (v * w - p) % n
+    return v
+
+
+def lucas_n_plus_1(n: int, primes: Iterable[int]) -> bool | None:
+    """N+1 primality proof of odd n from known prime factors of n+1
+    (Morrison 1975; Brillhart, Lehmer & Selfridge 1975).
+
+    Returns True when the proof shows n prime, False when it shows n
+    composite, None when it does not apply. A candidate q counts only if it
+    is a prime below DETERMINISTIC_PRIMALITY_BOUND (is_prime decides it)
+    that divides n+1, and it enters F at its full valuation in n+1; the
+    largest come first, until (F-1)^2 > n. Then one Lucas sequence with
+    Q = 1 and D = P^2 - 4, (D/n) = -1, must satisfy
+
+        V_{n+1} = 2 (mod n)  and  gcd(V_{(n+1)/q} - 2, n) = 1 for each q | F.
+
+    Why this proves n prime: let r be a prime factor of n and alpha a root
+    of x^2 - Px + 1 modulo r. (D/n) = -1 makes D a unit mod r, so
+    V_{n+1} = 2 gives alpha^(n+1) = 1, and V_m - 2 is the norm of
+    alpha^m - 1, so alpha^((n+1)/q) != 1. The order of alpha thus holds q
+    to its full power in n+1 for every q | F, so F divides it, and it
+    divides r - (D/r). Every prime factor of n is then at least F - 1, which
+    exceeds sqrt(n). The argument needs one alpha for all q, hence one P.
+    P takes the LUCAS_PARAMETERS values from 3 up; a perfect square n never
+    gets (D/n) = -1, so it ends in None. Each V_{(n+1)/q} is V_{F/q} of
+    W = V_{(n+1)/F}, so the ladders per q run over F/q, not (n+1)/q.
+
+    The usual form asks gcd(U_{(n+1)/q}, n) = 1 instead. Since
+    D * U_m^2 = (V_m - 2)(V_m + 2) that implies the condition above, and
+    with Q = 1 it fails for q = 2 at every prime n (alpha^((n+1)/2) = +-1
+    makes U_{(n+1)/2} vanish), so q = 2 could never enter F.
+    """
+    if n < 3 or n % 2 == 0:
+        return None
+    m = n + 1
+    powers = {}
+    for q in sorted(set(primes), reverse=True):
+        # most composites fail is_prime's first base, which costs a full
+        # test's fraction: a hopeless F is given up before any full test
+        if 1 < q < DETERMINISTIC_PRIMALITY_BOUND and m % q == 0 and _first_test_passes(q):
+            power = q
+            while m % (power * q) == 0:
+                power *= q
+            powers[q] = power
+    # reach bounds F from above, dropping each candidate is_prime rejects
+    f, reach = 1, math.prod(powers.values())
+    used = []
+    for q, power in powers.items():
+        if (f - 1) ** 2 > n or (reach - 1) ** 2 <= n:
+            break
+        if is_prime(q):
+            f *= power
+            used.append(q)
+        else:
+            reach //= power
+    if (f - 1) ** 2 <= n:
+        return None
+    for p in range(3, 3 + LUCAS_PARAMETERS):
+        d = p * p - 4
+        symbol = jacobi(d, n)
+        if symbol == 0 and d % n:
+            return False  # 1 < gcd(d, n) < n
+        if symbol != -1:
+            continue
+        w = _lucas_v(p, m // f, n)
+        if _lucas_v(w, f, n) != 2:
+            return False
+        if all(math.gcd(_lucas_v(w, f // q, n) - 2, n) == 1 for q in used):
+            return True
+    return None
+
+
+def prove_prime(n: int, primes: Iterable[int] = ()) -> str | None:
+    """The tag of the test that shows n prime, or None when n is composite.
+
+    Below DETERMINISTIC_PRIMALITY_BOUND that is is_prime. Above it, n gets
+    is_prime's trial division and first seeded round, then the N+1 proof
+    from `primes`, candidate prime factors of n+1; only where that proof
+    does not apply does n get is_prime's other rounds.
+    """
+    if n < DETERMINISTIC_PRIMALITY_BOUND:
+        return DETERMINISTIC_TAG if is_prime(n) else None
+    if any(n % p == 0 for p in _DETERMINISTIC_BASES):
+        return None
+    rounds = _strong_tests(n)
+    if not next(rounds):
+        return None
+    proof = lucas_n_plus_1(n, primes)
+    if proof is not None:
+        return LUCAS_TAG if proof else None
+    return PROBABILISTIC_TAG if all(rounds) else None
+
+
+@functools.cache
+def _small_prime_tree() -> tuple[tuple[int, ...], ...]:
+    """Product tree of the primes below SMALL_PRIME_LIMIT: the primes, then
+    each level the products of adjacent pairs of the one below, up to the
+    primorial. Built on first use."""
+    sieve = bytearray([1]) * SMALL_PRIME_LIMIT
+    sieve[:2] = b"\x00\x00"
+    for i in range(2, math.isqrt(SMALL_PRIME_LIMIT) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, SMALL_PRIME_LIMIT, i)))
+    level = tuple(i for i, flag in enumerate(sieve) if flag)
+    tree = [level]
+    while len(level) > 1:
+        level = tuple(math.prod(level[i : i + 2]) for i in range(0, len(level), 2))
+        tree.append(level)
+    return tuple(tree)
+
+
+def prime_factor_candidates(values: Iterable[int]) -> tuple[int, ...]:
+    """Candidate prime factors of the positive values, largest first.
+
+    Each value gives every prime below SMALL_PRIME_LIMIT that divides it,
+    found by gcds down a product tree of those primes, and its cofactor
+    after removing them if that is below DETERMINISTIC_PRIMALITY_BOUND: a
+    prime, or a product of primes above SMALL_PRIME_LIMIT, which
+    lucas_n_plus_1 rejects when it tests the candidates it uses.
+
+    >>> prime_factor_candidates([2 * 3**2 * 4099, 35])
+    (4099, 7, 5, 3, 2)
+    """
+    tree = _small_prime_tree()
+    found = set()
+    for v in values:
+        nodes = [0] if math.gcd(v, tree[-1][0]) > 1 else []
+        for level in reversed(tree[:-1]):
+            nodes = [
+                c for i in nodes for c in (2 * i, 2 * i + 1)
+                if c < len(level) and math.gcd(v, level[c]) > 1
+            ]
+        for i in nodes:
+            q = tree[0][i]
+            found.add(q)
+            while v % q == 0:
+                v //= q
+        if 1 < v < DETERMINISTIC_PRIMALITY_BOUND:
+            found.add(v)
+    return tuple(sorted(found, reverse=True))
+
+
+def next_proved_prime_in_ap(
+    cls: CongruenceClass, lower: int, terms: Sequence[int] = ()
+) -> tuple[int, str]:
+    """Smallest prime p >= lower in the residue class, and prove_prime's tag
+    for it.
+
+    The candidate factors of p+1 for the N+1 proof come from `terms`,
+    factored once, at the first term of the progression above
+    DETERMINISTIC_PRIMALITY_BOUND. Scans the progression term by term.
+    Existence is guaranteed whenever gcd(residue, modulus) = 1; the cap of
+    DEFAULT_PRIME_SEARCH_STEPS terms is purely pragmatic.
     """
     r, m = cls.residue, cls.modulus
     if math.gcd(r, m) != 1:
         raise NotCoprime(f"class {cls} contains at most one prime")
     lower = max(lower, 2)
     candidate = lower + (r - lower) % m
+    primes: tuple[int, ...] | None = None
     for _ in range(DEFAULT_PRIME_SEARCH_STEPS):
-        if is_prime(candidate):
-            return candidate
+        if primes is None and candidate >= DETERMINISTIC_PRIMALITY_BOUND:
+            primes = prime_factor_candidates(terms)
+        method = prove_prime(candidate, primes or ())
+        if method is not None:
+            return candidate, method
         candidate += m
     raise SearchExhausted(
         f"no prime = {r} (mod {m}) within {DEFAULT_PRIME_SEARCH_STEPS} terms "
         f"at or above {lower}"
     )
+
+
+def next_prime_in_ap(cls: CongruenceClass, lower: int) -> int:
+    """Smallest prime p >= lower with p in the given residue class."""
+    return next_proved_prime_in_ap(cls, lower)[0]
 
 
 def next_prime(lower: int) -> int:

@@ -10,10 +10,17 @@ lines derived from other fields (errors, max-error, primality, a poly
 certificate's values) are checked at parse time. Poly certificates embed
 their inner point certificate as a two-space indented block after an
 "inner:" line.
+
+The primality line names the test that shows p prime, re-run by the
+checker: "miller-rabin-deterministic" below DETERMINISTIC_PRIMALITY_BOUND;
+above it "lucas-n-plus-1", an N+1 proof from the prime factors of p+1 that
+the chain's tail supplies, or "miller-rabin-probabilistic-64" where that
+proof does not apply. Version 2 added the "lucas-n-plus-1" tag.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
 from fractions import Fraction
 from operator import attrgetter
@@ -21,12 +28,12 @@ from typing import Any
 
 from .arith import CongruenceClass
 from .chain import Chain, TargetPoint
-from .errors import CertificateFormatError
+from .errors import CertificateFormatError, InputTooLarge
 from .lab import DiscrepancyReport
 from .lift import Certificate, WitnessPoint
 from .poly import MonicPolynomial, PolyCertificate
 
-CERTIFICATE_VERSION = 1
+CERTIFICATE_VERSION = 2
 
 # How one field's value is written (show) and read back (read).
 Codec = namedtuple("Codec", "show read")
@@ -131,9 +138,17 @@ _KINDS = {kind.name: kind for kind in (POINT, POLY, REPORT)}
 
 
 def _write(kind: DocumentKind, obj, indent: str = "") -> str:
-    return "".join(
-        f"{indent}{key}: {codec.show(get(obj))}\n" for key, codec, get in kind.fields
-    )
+    lines = []
+    for key, codec, get in kind.fields:
+        try:
+            lines.append(f"{indent}{key}: {codec.show(get(obj))}\n")
+        except ValueError:  # str() of an integer past CPython's digit limit
+            where = f" at degree {obj.f.degree}" if kind is POLY else ""
+            raise InputTooLarge(
+                f"{kind.name} field {key}{where} holds an integer beyond the "
+                f"{sys.get_int_max_str_digits()}-digit int/str conversion limit"
+            ) from None
+    return "".join(lines)
 
 
 def serialize_certificate(cert: Certificate) -> str:
@@ -173,11 +188,29 @@ def _split_block(lines: list) -> tuple[dict, list | None]:
     return fields, inner
 
 
-def _read(kind: DocumentKind, fields: dict, inner: Certificate | None = None) -> Any:
+# Proving p is the costliest derivation, so parse_document compares the
+# primality lines after every other line, the inner block's included: a
+# document that disagrees anywhere else is rejected without proving p.
+_PROVED_LAST = "primality"
+
+
+def _check(key: str, codec: Codec, decoded: Any, derived: Any, raw: str) -> None:
+    # compare values first, so a disagreeing derived line is rejected without
+    # writing out the derived value (past CPython's int/str digit limit on a
+    # hostile degree)
+    if decoded != derived or codec.show(decoded) != raw:
+        shown = raw if len(raw) <= 40 else raw[:37] + "..."
+        raise CertificateFormatError(
+            f"field {key}: {shown!r} is not canonical or disagrees with the other fields"
+        )
+
+
+def _read(kind: DocumentKind, fields: dict, deferred: list, inner: Certificate | None = None) -> Any:
     """Decode every row of `kind` from the raw fields, build the object, and
     require each raw field to read exactly as the object writes it, which
     rejects both a non-canonical encoding and a derived line that disagrees
-    with the rest of the document."""
+    with the rest of the document. The primality row's check is appended to
+    `deferred` instead."""
     values: dict[str, Any] = {"inner": inner}
     unknown = fields.keys() - {key for key, _, _ in kind.fields}
     if unknown:
@@ -198,15 +231,11 @@ def _read(kind: DocumentKind, fields: dict, inner: Certificate | None = None) ->
     except ValueError as exc:
         raise CertificateFormatError(str(exc)) from None
     for key, codec, get in kind.fields:
-        # compare values first, so a disagreeing derived line is rejected
-        # without writing out the derived value (past CPython's int/str digit
-        # limit on a hostile degree); each decoded copy is dropped once checked
-        decoded = values.pop(key)
-        if decoded != get(obj) or codec.show(decoded) != fields[key]:
-            shown = fields[key] if len(fields[key]) <= 40 else fields[key][:37] + "..."
-            raise CertificateFormatError(
-                f"field {key}: {shown!r} is not canonical or disagrees with the other fields"
-            )
+        decoded = values.pop(key)  # each decoded copy is dropped once checked
+        if key == _PROVED_LAST:
+            deferred.append((key, codec, decoded, get, obj, fields[key]))
+        else:
+            _check(key, codec, decoded, get(obj), fields[key])
     return obj
 
 
@@ -220,6 +249,7 @@ def parse_document(text: str):
     kind = _KINDS.get(fields.get("kind"))
     if kind is None:
         raise CertificateFormatError(f"missing or unknown kind: {fields.get('kind')!r}")
+    deferred: list = []
     inner = None
     if kind is POLY:
         if inner_lines is None:
@@ -229,10 +259,13 @@ def parse_document(text: str):
             raise CertificateFormatError("unexpected nested inner block")
         if inner_fields.get("kind") != POINT.name:
             raise CertificateFormatError("inner block is not a point certificate")
-        inner = _read(POINT, inner_fields)
+        inner = _read(POINT, inner_fields, deferred)
     elif inner_lines is not None:
         raise CertificateFormatError(f"{kind.name} with an inner block")
-    return _read(kind, fields, inner)
+    document = _read(kind, fields, deferred, inner)
+    for key, codec, decoded, get, obj, raw in deferred:
+        _check(key, codec, decoded, get(obj), raw)
+    return document
 
 
 def parse_certificate(text: str):

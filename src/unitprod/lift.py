@@ -19,13 +19,15 @@ from fractions import Fraction
 from functools import cached_property
 
 from .arith import (
+    DETERMINISTIC_PRIMALITY_BOUND,
     CongruenceClass,
     check_eps,
     crt,
-    is_prime,
     mod_inverse,
-    next_prime_in_ap,
+    next_proved_prime_in_ap,
     primality_method,
+    prime_factor_candidates,
+    prove_prime,
 )
 from .chain import (
     DEFAULT_CONFIG,
@@ -72,8 +74,9 @@ def witness_is_valid(witness: WitnessPoint) -> bool:
 class Certificate:
     """Everything needed to re-verify one approximation from scratch.
 
-    The errors, their maximum and the primality tag are derived from the
-    target and the witness, each computed at most once per certificate.
+    The errors, their maximum and the primality proof are derived from the
+    target, the chain and the witness, each computed at most once per
+    certificate.
     """
 
     target: TargetPoint
@@ -94,9 +97,22 @@ class Certificate:
         return max(self.errors)
 
     @cached_property
+    def prime_proof(self) -> str | None:
+        """The tag of the test that shows p prime, None if p is composite.
+
+        Above DETERMINISTIC_PRIMALITY_BOUND, the N+1 proof draws its factors
+        of p+1 from the tail a2..an of the chain (p = -1 mod a2*...*an).
+        """
+        p = self.witness.p
+        if p < DETERMINISTIC_PRIMALITY_BOUND:
+            return prove_prime(p)
+        return prove_prime(p, prime_factor_candidates(self.chain.a[2:]))
+
+    @property
     def primality_method(self) -> str:
-        """How is_prime decides the primality of p."""
-        return primality_method(self.witness.p)
+        """The primality tag: prime_proof's, or for a composite p the tag of
+        the Miller-Rabin test that p's size calls for."""
+        return self.prime_proof or primality_method(self.witness.p)
 
 
 def dirichlet_residue(chain: Chain) -> CongruenceClass:
@@ -169,8 +185,9 @@ def approximate(
     chain = build_chain(target, eps / 2, config)
     floor = max(min_prime_for_error(chain, eps / 2), min_p)
     congruence = dirichlet_residue(chain)
-    p = next_prime_in_ap(congruence, floor)
+    p, proof = next_proved_prime_in_ap(congruence, floor, chain.a[2:])
     cert = Certificate(target, eps, chain, congruence, floor, lift_chain(chain, p), config.mode)
+    vars(cert)["prime_proof"] = proof  # the scan has just proved p
     if cert.max_error >= eps:  # excluded by the eps/2 + eps/2 split
         raise RuntimeError(f"lift at p={p} misses eps: max error {cert.max_error}")
     return cert
@@ -195,7 +212,7 @@ def check_certificate(cert: Certificate) -> str | None:
     p = cert.witness.p
     if p < cert.prime_floor:
         return "prime-below-floor"
-    if not is_prime(p):
+    if cert.prime_proof is None:
         return "p-not-prime"
     if not cert.congruence.contains(p):
         return "p-not-in-class"

@@ -5,17 +5,25 @@ import pytest
 
 from unitprod import arith
 from unitprod.arith import (
-    CongruenceClass,
     DETERMINISTIC_PRIMALITY_BOUND,
+    DETERMINISTIC_TAG,
+    LUCAS_TAG,
+    PROBABILISTIC_TAG,
+    CongruenceClass,
     Factorization,
     crt,
     factorize,
     is_prime,
+    jacobi,
     jacobsthal,
+    lucas_n_plus_1,
     mod_inverse,
     next_prime,
     next_prime_in_ap,
+    next_proved_prime_in_ap,
     primality_method,
+    prime_factor_candidates,
+    prove_prime,
     strict_ceil,
     strict_floor,
 )
@@ -26,6 +34,8 @@ from unitprod.errors import (
     SearchExhausted,
 )
 from fractions import Fraction
+
+import sympy
 
 
 # ---------------------------------------------------------------- strict floor/ceil
@@ -281,6 +291,247 @@ def test_next_prime_in_ap_errors(monkeypatch):
     monkeypatch.setattr(arith, "DEFAULT_PRIME_SEARCH_STEPS", 1)
     with pytest.raises(SearchExhausted, match="within 1 terms"):
         next_prime_in_ap(CongruenceClass(1, 10**6), 2)
+
+
+# ---------------------------------------------------------------- N+1 proof
+
+def test_jacobi_against_sympy():
+    rng = random.Random(1101)
+    for _ in range(3000):
+        n = rng.getrandbits(rng.randint(1, 90)) | 1
+        a = rng.randint(-10**6, 10**30)
+        assert jacobi(a, n) == sympy.jacobi_symbol(a, n), (a, n)
+
+
+def test_prime_factor_candidates_against_sympy():
+    rng = random.Random(1102)
+    for _ in range(300):
+        values = [rng.getrandbits(rng.randint(1, 64)) + 1 for _ in range(rng.randint(1, 4))]
+        expected = set()
+        for v in values:
+            factors = sympy.factorint(v)
+            small = {q for q in factors if q < arith.SMALL_PRIME_LIMIT}
+            expected |= small
+            cofactor = v // math.prod(q ** factors[q] for q in small)
+            if 1 < cofactor < DETERMINISTIC_PRIMALITY_BOUND:
+                expected.add(cofactor)
+        assert prime_factor_candidates(values) == tuple(sorted(expected, reverse=True))
+    assert prime_factor_candidates([]) == prime_factor_candidates([1]) == ()
+
+
+def _seeded_primes_below_minus_one(rng, count, bits):
+    """(p, qs): primes p = -1 (mod prod qs), with (F-1)^2 > p, qs random primes."""
+    found = []
+    while len(found) < count:
+        qs = [sympy.randprime(2, 2**rng.randint(2, bits)) for _ in range(rng.randint(1, 5))]
+        f = math.prod(qs)
+        if f < 4:
+            continue
+        p = f * rng.randint(1, f - 2) - 1  # below (f-1)^2
+        if p > 3 and sympy.isprime(p):
+            found.append((p, qs))
+    return found
+
+
+def test_lucas_proves_seeded_primes():
+    rng = random.Random(1103)
+    for p, qs in _seeded_primes_below_minus_one(rng, 200, 36):
+        # F holds each q at its full valuation in p+1, so F >= prod(qs) > sqrt(p)+1
+        assert lucas_n_plus_1(p, qs) is True, (p, qs)
+        expected = LUCAS_TAG if p >= DETERMINISTIC_PRIMALITY_BOUND else DETERMINISTIC_TAG
+        assert prove_prime(p, qs) == expected
+
+
+def test_lucas_needs_q_equal_two():
+    # p + 1 = 3 * 2^94: F = 3 alone is far too small, so the proof rests on 2
+    p = 3 * 2**94 - 1
+    assert sympy.isprime(p) and p > DETERMINISTIC_PRIMALITY_BOUND
+    assert lucas_n_plus_1(p, [3]) is None
+    assert lucas_n_plus_1(p, [2, 3]) is True
+    assert lucas_n_plus_1(p, [2]) is True
+    assert prove_prime(p, [3, 2]) == LUCAS_TAG
+
+
+def test_lucas_never_proves_seeded_composites():
+    rng = random.Random(1104)
+    seen = 0
+    while seen < 1500:
+        qs = [sympy.randprime(2, 2**rng.randint(2, 40)) for _ in range(rng.randint(1, 5))]
+        f = math.prod(qs)
+        n = f * rng.randint(1, f - 1) - 1
+        if n < 5 or sympy.isprime(n):
+            continue
+        seen += 1
+        assert lucas_n_plus_1(n, qs) is not True, (n, qs)
+        assert prove_prime(n, qs) is None
+
+
+def _full_factor_list(n):
+    return list(sympy.factorint(n + 1))
+
+
+def test_lucas_never_proves_semiprimes():
+    # n = r*s = -1 (mod F) with (F-1)^2 > n: s runs through the class -1/r mod F
+    rng = random.Random(1105)
+    for _ in range(60):
+        qs = [sympy.randprime(2**8, 2**24) for _ in range(3)]
+        f = math.prod(qs)
+        r = sympy.randprime(2**10, 2**20)
+        s = (-pow(r, -1, f)) % f
+        while not sympy.isprime(s):
+            s += f
+        n = r * s
+        assert (n + 1) % f == 0 and (f - 1) ** 2 > n
+        assert lucas_n_plus_1(n, qs) is not True
+        assert lucas_n_plus_1(n, _full_factor_list(n)) is not True
+        assert prove_prime(n, qs) is None
+
+
+# strong pseudoprimes to base 2 (the first few, then psi_1..psi_13 above),
+# and Carmichael numbers, among them Chernick's (6k+1)(12k+1)(18k+1)
+STRONG_BASE_2 = (2047, 3277, 4033, 4681, 8321, 15841, 29341, 42799, 49141, 52633)
+CARMICHAEL = (561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341, 41041)
+
+
+def _chernick(count, k=1):
+    found = []
+    while len(found) < count:
+        parts = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+        if all(sympy.isprime(v) for v in parts):
+            found.append(math.prod(parts))
+        k += 1
+    return found
+
+
+def test_lucas_never_proves_pseudoprimes_or_carmichael_numbers():
+    chernick = _chernick(12) + _chernick(3, 10**8)
+    assert max(chernick) > DETERMINISTIC_PRIMALITY_BOUND
+    for n in STRONG_BASE_2 + CARMICHAEL + PSI + tuple(chernick):
+        assert not sympy.isprime(n)
+        # with every prime factor of n+1, F = n+1 and (F-1)^2 > n always
+        assert lucas_n_plus_1(n, _full_factor_list(n)) is not True, n
+        assert prove_prime(n, _full_factor_list(n)) is None
+
+
+def _lucas_v_by_matrix(p, k, n):
+    """V_k(P, 1) mod n from the k-th power of the companion matrix
+    [[P, -1], [1, 0]], applied to (V_1, V_0) = (P, 2)."""
+    def mul(x, y):
+        return [[sum(x[i][t] * y[t][j] for t in range(2)) % n for j in range(2)] for i in range(2)]
+
+    result, base = [[1, 0], [0, 1]], [[p % n, n - 1], [1, 0]]
+    while k:
+        if k & 1:
+            result = mul(result, base)
+        base = mul(base, base)
+        k >>= 1
+    return (result[1][0] * p + result[1][1] * 2) % n
+
+
+# composites n with (5/n) = -1 and V_{n+1}(3, 1) = 2 (mod n): P = 3 passes the
+# check on V_{n+1}, so only the gcd conditions can reject them
+LUCAS_V_PSEUDOPRIMES = (323, 377, 1127, 2303, 3827, 5777, 6137, 10877, 10933, 11663, 14027)
+
+
+def test_lucas_never_proves_lucas_pseudoprimes():
+    for n in LUCAS_V_PSEUDOPRIMES:
+        assert not sympy.isprime(n) and sympy.jacobi_symbol(5, n) == -1
+        assert _lucas_v_by_matrix(3, n + 1, n) == 2
+        assert lucas_n_plus_1(n, _full_factor_list(n)) is not True, n
+
+
+def test_lucas_does_not_apply_to_perfect_squares():
+    rng = random.Random(1107)
+    for _ in range(40):
+        r = sympy.randprime(5000, 2**32)  # above every D = P^2 - 4 tried
+        n = r * r
+        assert all(jacobi(p * p - 4, n) != -1 for p in range(3, 3 + arith.LUCAS_PARAMETERS))
+        assert lucas_n_plus_1(n, _full_factor_list(n)) is None
+        assert prove_prime(n, _full_factor_list(n)) is None
+
+
+def test_lucas_ignores_composite_or_non_dividing_factors():
+    rng = random.Random(1108)
+    for p, qs in _seeded_primes_below_minus_one(rng, 60, 40):
+        f = math.prod(qs)
+        # the same F offered as one composite "prime", or as composites of pairs
+        assert lucas_n_plus_1(p, [f] if not sympy.isprime(f) else []) is None
+        # primes that do not divide p+1 add nothing
+        strangers = [q for q in sympy.primerange(2, 400) if (p + 1) % q]
+        assert lucas_n_plus_1(p, strangers) is None
+    # a composite n whose n+1 the composite "prime" covers is not proved either
+    n = 341  # 11 * 31, n + 1 = 342 = 2 * 3^2 * 19
+    assert lucas_n_plus_1(n, [342]) is None
+    assert lucas_n_plus_1(n, [171, 2]) is None
+    # 8321 = 53 * 157 passes trial division and the first base, 2
+    assert 8321 in STRONG_BASE_2 and not sympy.isprime(8321)
+    p = next(p for p in (8321 * k - 1 for k in range(2, 8320, 2)) if sympy.isprime(p))
+    assert lucas_n_plus_1(p, [8321]) is None
+    # a prime above DETERMINISTIC_PRIMALITY_BOUND is not a usable factor
+    big = next_prime(DETERMINISTIC_PRIMALITY_BOUND)
+    p = next(p for p in (big * k - 1 for k in range(2, 10**4, 2)) if sympy.isprime(p))
+    assert lucas_n_plus_1(p, [big]) is None
+
+
+def _boundary_pair(rng):
+    """F = 6 * (primes above 5), with n_hi = F(F-5) - 1 and n_lo = F(F-1) - 1
+    both prime. n = Fk - 1 has exactly F as the part of n+1 over F's primes
+    iff gcd(k, F) = 1, which rules out k = F-4, F-3, F-2; so these are the
+    nearest such n on either side of (F-1)^2 = n: (F-1)^2 - n_hi = 3F + 2
+    and n_lo - (F-1)^2 = F - 2."""
+    while True:
+        qs = [2, 3] + [sympy.randprime(7, 2**rng.randint(3, 14)) for _ in range(rng.randint(0, 2))]
+        f = math.prod(qs)
+        n_hi, n_lo = f * (f - 5) - 1, f * (f - 1) - 1
+        if sympy.isprime(n_hi) and sympy.isprime(n_lo):
+            return qs, f, n_hi, n_lo
+
+
+def test_lucas_bound_on_both_sides():
+    rng = random.Random(1109)
+    for _ in range(20):
+        qs, f, n_hi, n_lo = _boundary_pair(rng)
+        assert (f - 1) ** 2 > n_hi and (f - 1) ** 2 <= n_lo < f**2
+        assert lucas_n_plus_1(n_hi, qs) is True
+        assert lucas_n_plus_1(n_lo, qs) is None
+
+
+def test_prove_prime_tags_on_both_sides_of_the_bound():
+    rng = random.Random(1110)
+    bound = DETERMINISTIC_PRIMALITY_BOUND
+    below = sympy.prevprime(bound)
+    assert prove_prime(below) == prove_prime(below, _full_factor_list(below)) == DETERMINISTIC_TAG
+    assert prove_prime(below - 2 if not sympy.isprime(below - 2) else below - 4) is None
+    above = sympy.nextprime(bound)
+    assert prove_prime(above) == PROBABILISTIC_TAG
+    assert prove_prime(above, _full_factor_list(above)) == LUCAS_TAG
+    assert prove_prime(bound, _full_factor_list(bound)) is None  # psi_13 itself
+    mersenne_89 = 2**89 - 1
+    assert prove_prime(mersenne_89, _full_factor_list(mersenne_89)) == LUCAS_TAG  # 2^89
+    assert prove_prime(mersenne_89 * 1000003, [2]) is None
+    for p, qs in _seeded_primes_below_minus_one(rng, 20, 60):
+        proof = prove_prime(p, qs)
+        assert proof == (DETERMINISTIC_TAG if p < bound else LUCAS_TAG)
+        # is_prime agrees with every tag
+        assert is_prime(p)
+
+
+def test_next_proved_prime_in_ap_matches_next_prime_in_ap():
+    rng = random.Random(1111)
+    for _ in range(40):
+        tail = [sympy.randprime(2**20, 2**40) for _ in range(rng.randint(1, 3))]
+        tail[0] *= rng.choice((1, 2, 6))
+        m = math.prod(tail)
+        cls = CongruenceClass(-1, m)
+        lower = rng.getrandbits(rng.randint(40, 140))
+        p, proof = next_proved_prime_in_ap(cls, lower, tail)
+        assert p == next_prime_in_ap(cls, lower)
+        assert sympy.isprime(p)
+        assert proof == prove_prime(p, prime_factor_candidates(tail))
+        if p < DETERMINISTIC_PRIMALITY_BOUND:
+            assert proof == DETERMINISTIC_TAG
+        elif (m - 1) ** 2 > p:
+            assert proof == LUCAS_TAG
 
 
 # ---------------------------------------------------------------- factorize

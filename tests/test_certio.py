@@ -1,9 +1,11 @@
 import dataclasses
+import sys
 from fractions import Fraction
 
 import pytest
 
 from unitprod.certio import (
+    CERTIFICATE_VERSION,
     parse_certificate,
     parse_document,
     serialize_certificate,
@@ -11,10 +13,16 @@ from unitprod.certio import (
     serialize_report,
 )
 from unitprod.chain import TargetPoint
-from unitprod.errors import CertificateFormatError
+from unitprod.errors import CertificateFormatError, InputTooLarge
+from unitprod import lift
 from unitprod.lab import box_discrepancy
 from unitprod.lift import WitnessPoint, approximate, check_certificate, verify_certificate
-from unitprod.poly import MonicPolynomial, approximate_polynomial, verify_poly_certificate
+from unitprod.poly import (
+    MonicPolynomial,
+    PolyCertificate,
+    approximate_polynomial,
+    verify_poly_certificate,
+)
 
 TARGET = TargetPoint((Fraction(1, 2), Fraction(2, 3), Fraction(3, 5)))
 
@@ -76,7 +84,9 @@ def test_parse_rejects_malformed(point_cert):
     with pytest.raises(CertificateFormatError):
         parse_document(document.replace("point-certificate", "mystery"))
     with pytest.raises(CertificateFormatError):
-        parse_document(document.replace("version: 1", "version: 99"))
+        parse_document(document.replace(f"version: {CERTIFICATE_VERSION}", "version: 99"))
+    with pytest.raises(CertificateFormatError, match="unsupported version"):
+        parse_document(document.replace(f"version: {CERTIFICATE_VERSION}", "version: 1"))
     with pytest.raises(CertificateFormatError):
         parse_document(document + "extra: 1\n")
     with pytest.raises(CertificateFormatError):
@@ -95,6 +105,27 @@ def test_parsed_tampering_is_caught(point_cert):
     document = serialize_certificate(point_cert)
     with pytest.raises(CertificateFormatError, match="field errors"):
         parse_document(document.replace("witness: 17,20,18", "witness: 17,21,18"))
+
+
+def test_disagreeing_lines_are_rejected_before_p_is_proved(point_cert, poly_cert, monkeypatch):
+    # the primality line is compared last, so a document that disagrees
+    # anywhere else, inner block included, never pays for proving p
+    point = serialize_certificate(point_cert)
+    poly = serialize_poly_certificate(poly_cert)
+    assert "\ncoeffs: 1,0\n" in poly
+
+    def refuse(*args):
+        raise AssertionError("p was proved before the document was rejected")
+
+    monkeypatch.setattr(lift, "prove_prime", refuse)
+    with pytest.raises(CertificateFormatError, match="field errors"):
+        parse_document(point.replace("witness: 17,20,18", "witness: 17,21,18"))
+    with pytest.raises(CertificateFormatError, match="field errors"):
+        parse_document(point.replace("p: 29", "p: 31"))
+    with pytest.raises(CertificateFormatError, match="field values"):
+        parse_document(poly.replace("\ncoeffs: 1,0\n", "\ncoeffs: 2,0\n"))
+    with pytest.raises(AssertionError):
+        parse_document(point)
 
 
 def test_consistent_witness_edit_fails_the_relift(point_cert):
@@ -133,3 +164,20 @@ def test_parse_rejects_non_canonical_encodings(point_cert, canonical, variant):
     assert canonical + "\n" in document
     with pytest.raises(CertificateFormatError):
         parse_document(document.replace(canonical + "\n", variant + "\n"))
+
+
+def test_poly_values_past_the_digit_limit_raise_input_too_large(point_cert):
+    # f(x)/p^90 at a 200-bit p has denominators of ~5400 decimal digits
+    limit = sys.get_int_max_str_digits()
+    assert 0 < limit < 90 * 200 * 0.30103
+    inner = dataclasses.replace(point_cert, witness=WitnessPoint(2**200 + 1, (1, 1, 1)))
+    cert = PolyCertificate(
+        MonicPolynomial(90, (0,) * 90), TARGET, Fraction(1, 10), TARGET, inner
+    )
+    with pytest.raises(InputTooLarge) as caught:
+        serialize_poly_certificate(cert)
+    message = str(caught.value)
+    assert "field values" in message
+    assert "degree 90" in message
+    assert f"{limit}-digit" in message
+    assert sys.get_int_max_str_digits() == limit  # the interpreter-wide limit is untouched
