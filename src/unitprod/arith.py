@@ -7,6 +7,7 @@ certificate-relevant computation.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -42,10 +43,25 @@ DEFAULT_MILLER_RABIN_ROUNDS = 64
 DETERMINISTIC_TAG = "miller-rabin-deterministic"
 PROBABILISTIC_TAG = f"miller-rabin-probabilistic-{DEFAULT_MILLER_RABIN_ROUNDS}"
 LUCAS_TAG = "lucas-n-plus-1"
-# values of P that lucas_n_plus_1 tries, from 3 up
+# values of P (N+1) or of the base (N-1) that _order_conditions tries, from 3 up
 LUCAS_PARAMETERS = 64
 # prime_factor_candidates finds by gcd every prime factor below this
 SMALL_PRIME_LIMIT = 2**12
+
+SEARCH_PRIME_LIMIT = 2**16
+"""The search cap of stage 2 of the proof: _small_prime_factors finds every
+prime below this that divides a number, with one gcd per block of
+SMALL_PRIME_LIMIT integers against the cached product of the block's primes
+(15 gcds; the products take about 11 KB). No larger factor is searched for:
+a cofactor left by these primes enters F whole or not at all."""
+
+PROOF_DEPTH_LIMIT = 2
+"""How deep proofs may nest inside the proof of p (depth 0). A cofactor
+above DETERMINISTIC_PRIMALITY_BOUND enters F only with an N-1 or N+1 proof
+of its own, one level deeper than the proof that uses it; a proof at this
+depth uses only factors that is_prime decides. With t tail terms, one proof
+of p thus runs at most 6t + 1 stage-2 searches: one for p, two for each of
+its t cofactors, two for the one cofactor each of those leaves."""
 
 TRIAL_DIVISION_LIMIT = 10**6
 JACOBSTHAL_SCAN_LIMIT = 10**7
@@ -243,82 +259,208 @@ def _lucas_v(p: int, k: int, n: int) -> int:
     return v
 
 
-def lucas_n_plus_1(n: int, primes: Iterable[int]) -> bool | None:
-    """N+1 primality proof of odd n from known prime factors of n+1
-    (Morrison 1975; Brillhart, Lehmer & Selfridge 1975).
+def _order_conditions(n: int, e: int, f: int, used: Sequence[int]) -> bool | None:
+    """The N+1 test (e = -1) or the N-1 test (e = 1) on odd n, where F
+    divides n - e and `used` holds the primes of F, each at its full
+    valuation in n - e.
 
-    Returns True when the proof shows n prime, False when it shows n
-    composite, None when it does not apply. A candidate q counts only if it
-    is a prime below DETERMINISTIC_PRIMALITY_BOUND (is_prime decides it)
-    that divides n+1, and it enters F at its full valuation in n+1; the
-    largest come first, until (F-1)^2 > n. Then one Lucas sequence with
-    Q = 1 and D = P^2 - 4, (D/n) = -1, must satisfy
+    N+1 (Morrison 1975; Brillhart, Lehmer & Selfridge 1975): one Lucas
+    sequence with P = x, Q = 1 and D = x^2 - 4, (D/n) = -1, must satisfy
+    V_{n+1} = 2 (mod n) and gcd(V_{(n+1)/q} - 2, n) = 1 for each q | F.
+    N-1 (Pocklington 1914): one base x with (x/n) = -1 must satisfy
+    x^(n-1) = 1 (mod n) and gcd(x^((n-1)/q) - 1, n) = 1 for each q | F.
+    Returns True when they hold, False when a step shows n composite, None
+    when none of the LUCAS_PARAMETERS values of x from 3 up passes.
 
-        V_{n+1} = 2 (mod n)  and  gcd(V_{(n+1)/q} - 2, n) = 1 for each q | F.
-
-    Why this proves n prime: let r be a prime factor of n and alpha a root
-    of x^2 - Px + 1 modulo r. (D/n) = -1 makes D a unit mod r, so
+    What they prove: let r be a prime factor of n. For N+1 take alpha, a
+    root of x^2 - Px + 1 modulo r; (D/n) = -1 makes D a unit mod r, so
     V_{n+1} = 2 gives alpha^(n+1) = 1, and V_m - 2 is the norm of
-    alpha^m - 1, so alpha^((n+1)/q) != 1. The order of alpha thus holds q
-    to its full power in n+1 for every q | F, so F divides it, and it
-    divides r - (D/r). Every prime factor of n is then at least F - 1, which
-    exceeds sqrt(n). The argument needs one alpha for all q, hence one P.
-    P takes the LUCAS_PARAMETERS values from 3 up; a perfect square n never
-    gets (D/n) = -1, so it ends in None. Each V_{(n+1)/q} is V_{F/q} of
-    W = V_{(n+1)/F}, so the ladders per q run over F/q, not (n+1)/q.
+    alpha^m - 1, so alpha^((n+1)/q) != 1. For N-1 take alpha = x mod r. The
+    order of alpha thus holds q to its full power in n - e for every q | F,
+    so F divides it, and it divides r - (D/r), resp. r - 1: every prime
+    factor of n is +-1 (mod F), resp. 1 (mod F), hence at least F - 1. The
+    argument needs one alpha for all q, hence one x. A perfect square n
+    never gets the symbol -1, so it ends in None. Each value at (n - e)/q is
+    the value at F/q from W, the value at (n - e)/F, so the ladders per q
+    run over F/q, not (n - e)/q.
 
-    The usual form asks gcd(U_{(n+1)/q}, n) = 1 instead. Since
+    The usual N+1 form asks gcd(U_{(n+1)/q}, n) = 1 instead. Since
     D * U_m^2 = (V_m - 2)(V_m + 2) that implies the condition above, and
     with Q = 1 it fails for q = 2 at every prime n (alpha^((n+1)/2) = +-1
-    makes U_{(n+1)/2} vanish), so q = 2 could never enter F.
+    makes U_{(n+1)/2} vanish), so q = 2 could never enter F. At a prime n,
+    alpha^((n+1)/2) = ((P+2)/n) (alpha is the square of
+    (sqrt(P+2) + sqrt(P-2))/2, and the Frobenius flips the sign of the
+    root whose radicand is a non-residue) and x^((n-1)/2) = (x/n), so x is
+    also chosen with ((x+2)/n) = -1 for N+1: then q = 2 passes at every
+    prime n.
+
+    >>> _order_conditions(131, -1, 12, [2, 3]), _order_conditions(433, 1, 144, [2, 3])
+    (True, True)
     """
-    if n < 3 or n % 2 == 0:
-        return None
-    m = n + 1
-    powers = {}
-    for q in sorted(set(primes), reverse=True):
-        # most composites fail is_prime's first base, which costs a full
-        # test's fraction: a hopeless F is given up before any full test
-        if 1 < q < DETERMINISTIC_PRIMALITY_BOUND and m % q == 0 and _first_test_passes(q):
-            power = q
-            while m % (power * q) == 0:
-                power *= q
-            powers[q] = power
-    # reach bounds F from above, dropping each candidate is_prime rejects
-    f, reach = 1, math.prod(powers.values())
-    used = []
-    for q, power in powers.items():
-        if (f - 1) ** 2 > n or (reach - 1) ** 2 <= n:
-            break
-        if is_prime(q):
-            f *= power
-            used.append(q)
-        else:
-            reach //= power
-    if (f - 1) ** 2 <= n:
-        return None
-    for p in range(3, 3 + LUCAS_PARAMETERS):
-        d = p * p - 4
+    m = n - e
+    power, one = (_lucas_v, 2) if e < 0 else (pow, 1)
+    for x in range(3, 3 + LUCAS_PARAMETERS):
+        d = x * x - 4 if e < 0 else x
         symbol = jacobi(d, n)
         if symbol == 0 and d % n:
             return False  # 1 < gcd(d, n) < n
-        if symbol != -1:
+        if symbol != -1 or (e < 0 and jacobi(x + 2, n) != -1):
             continue
-        w = _lucas_v(p, m // f, n)
-        if _lucas_v(w, f, n) != 2:
+        w = power(x, m // f, n)
+        if power(w, f, n) != one:
             return False
-        if all(math.gcd(_lucas_v(w, f // q, n) - 2, n) == 1 for q in used):
+        # smallest q first: x fails the condition at q with chance about 1/q
+        if all(math.gcd(power(w, f // q, n) - one, n) == 1 for q in sorted(used)):
             return True
     return None
 
 
-def prove_prime(n: int, primes: Iterable[int] = ()) -> str | None:
+def _splits(n: int, f: int, e: int) -> bool:
+    """Whether n = (aF + 1)(bF + e) for integers a, b >= 1, where F divides
+    n - e and (F - 1)^3 > n.
+
+    The bound on F forces a, b < F. Write (n - e)/F = c2*F + c1 with
+    0 <= c1 < F; then s = b + e*a and k = ab satisfy s*F + k*F^2 = n - e, so
+    (s, k) is (c1, c2) or (c1 + e*F, c2 - e), and a is a root of
+    e*a^2 - s*a + k = 0, whose discriminant s^2 - 4ek must be a square. (For
+    e = 1 the second case needs a + b >= F, so ab >= F - 1 and n > F^3: it
+    never occurs, but costs nothing to try.)
+
+    >>> _splits(11 * 13, 12, -1), _splits(131, 12, -1)
+    (True, False)
+    >>> _splits(13 * 37, 12, 1), _splits(433, 12, 1)
+    (True, False)
+    """
+    c2, c1 = divmod((n - e) // f, f)
+    for s, k in ((c1, c2), (c1 + e * f, c2 - e)):
+        disc = s * s - 4 * e * k
+        root = math.isqrt(disc) if disc >= 0 else -1
+        if root * root != disc:
+            continue
+        for t in (s - root, s + root):
+            a = e * (t // 2)
+            b = s - e * a
+            if t % 2 == 0 and a >= 1 and b >= 1 and (a * f + 1) * (b * f + e) == n:
+                return True
+    return False
+
+
+def _proof(n: int, e: int, candidates: Iterable[int], depth: int) -> bool | None:
+    """The N+1 (e = -1) or N-1 (e = 1) proof of odd n from candidate prime
+    factors of m = n - e: True when it shows n prime, False when it shows n
+    composite, None when it does not apply.
+
+    Each candidate that divides m and is proved prime enters F at its full
+    valuation in m, largest first, until (F-1)^2 > n, or (F-1)^3 > n once
+    the candidates left cannot reach (F-1)^2 > n. is_prime decides a
+    candidate below DETERMINISTIC_PRIMALITY_BOUND. One above it counts only
+    while depth <= PROOF_DEPTH_LIMIT, after the first seeded round and a
+    proof of its own nested `depth` deep (_nested_proof).
+
+    Once _order_conditions hold, every prime factor of n is at least F - 1.
+    With (F-1)^2 > n that proves n prime. With only (F-1)^3 > n, n has at
+    most two prime factors, and is prime unless _splits finds them (the
+    cube-root form; Brillhart, Lehmer & Selfridge 1975). Below, 132 = 12 * 11
+    and 144 = 12^2: F = 12 gives the cube-root form for 131 and the square
+    form for 143 = 11 * 13, and F = 4 is too short for 131.
+
+    >>> _proof(131, -1, [2, 3], 1), _proof(11 * 13, -1, [2, 3], 1), _proof(131, -1, [2], 1)
+    (True, False, None)
+    """
+    m = n - e
+    powers = {}
+    for q in sorted(set(candidates), reverse=True):
+        # most composites fail is_prime's first base, which costs a full
+        # test's fraction: a hopeless F is given up before any full test
+        if (
+            q > 1 and m % q == 0
+            and (q < DETERMINISTIC_PRIMALITY_BOUND or depth <= PROOF_DEPTH_LIMIT)
+            and _first_test_passes(q)
+        ):
+            power = q
+            while m % (power * q) == 0:
+                power *= q
+            powers[q] = power
+    # reach bounds F from above, dropping each candidate that is not proved
+    f, reach = 1, math.prod(powers.values())
+    used = []
+    for q, power in powers.items():
+        exponent = 2 if (reach - 1) ** 2 > n else 3
+        if (f - 1) ** exponent > n or (reach - 1) ** 3 <= n:
+            break
+        if is_prime(q) if q < DETERMINISTIC_PRIMALITY_BOUND else _nested_proof(q, depth):
+            f *= power
+            used.append(q)
+        else:
+            reach //= power
+    if (f - 1) ** 3 <= n:
+        return None
+    proof = _order_conditions(n, e, f, used)
+    if proof and (f - 1) ** 2 <= n:
+        return not _splits(n, f, e)
+    return proof
+
+
+def lucas_n_plus_1(n: int, primes: Iterable[int]) -> bool | None:
+    """N+1 primality proof of odd n from known prime factors of n+1.
+
+    Returns True when the proof shows n prime, False when it shows n
+    composite, None when it does not apply. A candidate q counts only if it
+    is a prime below DETERMINISTIC_PRIMALITY_BOUND (is_prime decides it)
+    that divides n+1; _proof builds F from them and runs the test, in the
+    square form when (F-1)^2 > n and in the cube-root form when only
+    (F-1)^3 > n.
+    """
+    if n < 3 or n % 2 == 0:
+        return None
+    return _proof(n, -1, [q for q in primes if q < DETERMINISTIC_PRIMALITY_BOUND], 1)
+
+
+def _extended_proof(n: int, e: int, terms: Iterable[int], depth: int) -> bool | None:
+    """_proof of n from every prime below SEARCH_PRIME_LIMIT that divides
+    m = n - e, and from the cofactors those primes leave in `terms`, known
+    divisors of m: the part of m each term shares, in turn. A cofactor
+    above DETERMINISTIC_PRIMALITY_BOUND enters F only with a proof nested
+    `depth` deep.
+    """
+    m = n - e
+    small = _small_prime_factors(m)
+    rest = m
+    for q in small:
+        while rest % q == 0:
+            rest //= q
+    pieces = []
+    for t in terms:
+        piece = math.gcd(t, rest)
+        if piece > 1:
+            pieces.append(piece)
+            rest //= piece
+    return _proof(n, e, [*small, *pieces], depth)
+
+
+def _nested_proof(c: int, depth: int) -> bool:
+    """Whether an N-1 proof (tried first, as a pow is cheaper than a Lucas
+    ladder) or an N+1 proof shows c prime, from the primes below
+    SEARCH_PRIME_LIMIT of c -+ 1 and the one cofactor they leave; the proof
+    is nested `depth` deep in another one, so that cofactor gets depth + 1.
+
+    >>> _nested_proof(1_000_003, 1), _nested_proof(101 * 9901, 1)
+    (True, False)
+    """
+    return any(_extended_proof(c, e, (c - e,), depth + 1) for e in (1, -1))
+
+
+def prove_prime(n: int, terms: Iterable[int] = ()) -> str | None:
     """The tag of the test that shows n prime, or None when n is composite.
 
     Below DETERMINISTIC_PRIMALITY_BOUND that is is_prime. Above it, n gets
-    is_prime's trial division and first seeded round, then the N+1 proof
-    from `primes`, candidate prime factors of n+1; only where that proof
-    does not apply does n get is_prime's other rounds.
+    is_prime's trial division and first seeded round, then the N+1 proof,
+    with `terms` known divisors of n+1 (the tail of a chain). Stage 1 is
+    lucas_n_plus_1 on their prime_factor_candidates. Where that F stays
+    short, stage 2 adds every prime below SEARCH_PRIME_LIMIT that divides
+    n+1 and the cofactors those primes leave in the terms, each proved prime
+    (_extended_proof). Only where neither applies does n get is_prime's
+    other rounds.
     """
     if n < DETERMINISTIC_PRIMALITY_BOUND:
         return DETERMINISTIC_TAG if is_prime(n) else None
@@ -327,10 +469,23 @@ def prove_prime(n: int, primes: Iterable[int] = ()) -> str | None:
     rounds = _strong_tests(n)
     if not next(rounds):
         return None
-    proof = lucas_n_plus_1(n, primes)
+    terms = tuple(terms)
+    proof = lucas_n_plus_1(n, prime_factor_candidates(terms))
+    if proof is None:
+        proof = _extended_proof(n, -1, terms, 1)
     if proof is not None:
         return LUCAS_TAG if proof else None
     return PROBABILISTIC_TAG if all(rounds) else None
+
+
+def _sieve(limit: int) -> bytearray:
+    """flags[i] = 1 exactly when i is prime, for 0 <= i < limit."""
+    flags = bytearray([1]) * limit
+    flags[:2] = b"\x00\x00"
+    for i in range(2, math.isqrt(limit - 1) + 1):
+        if flags[i]:
+            flags[i * i :: i] = bytes(len(range(i * i, limit, i)))
+    return flags
 
 
 @functools.cache
@@ -338,12 +493,7 @@ def _small_prime_tree() -> tuple[tuple[int, ...], ...]:
     """Product tree of the primes below SMALL_PRIME_LIMIT: the primes, then
     each level the products of adjacent pairs of the one below, up to the
     primorial. Built on first use."""
-    sieve = bytearray([1]) * SMALL_PRIME_LIMIT
-    sieve[:2] = b"\x00\x00"
-    for i in range(2, math.isqrt(SMALL_PRIME_LIMIT) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytes(len(range(i * i, SMALL_PRIME_LIMIT, i)))
-    level = tuple(i for i, flag in enumerate(sieve) if flag)
+    level = tuple(itertools.compress(range(SMALL_PRIME_LIMIT), _sieve(SMALL_PRIME_LIMIT)))
     tree = [level]
     while len(level) > 1:
         level = tuple(math.prod(level[i : i + 2]) for i in range(0, len(level), 2))
@@ -351,29 +501,73 @@ def _small_prime_tree() -> tuple[tuple[int, ...], ...]:
     return tuple(tree)
 
 
+def _tree_primes(v: int) -> list[int]:
+    """The primes below SMALL_PRIME_LIMIT that divide v > 0, ascending, by
+    gcds down _small_prime_tree.
+
+    >>> _tree_primes(2**3 * 3 * 4093 * 4099)
+    [2, 3, 4093]
+    """
+    tree = _small_prime_tree()
+    v = math.gcd(v, tree[-1][0])  # the same primes, in a number of their size
+    nodes = [0] if v > 1 else []
+    for level in reversed(tree[:-1]):
+        nodes = [
+            c for i in nodes for c in (2 * i, 2 * i + 1)
+            if c < len(level) and math.gcd(v, level[c]) > 1
+        ]
+    return [tree[0][i] for i in nodes]
+
+
+@functools.cache
+def _search_products() -> tuple[tuple[int, int], ...]:
+    """(low, product of the primes in [low, low + SMALL_PRIME_LIMIT)) for
+    each low from SMALL_PRIME_LIMIT up to SEARCH_PRIME_LIMIT: 15 integers of
+    about 11 KB in all, built on first use."""
+    flags = _sieve(SEARCH_PRIME_LIMIT)
+    width = SMALL_PRIME_LIMIT
+    return tuple(
+        (low, math.prod(itertools.compress(range(low, low + width), flags[low : low + width])))
+        for low in range(SMALL_PRIME_LIMIT, SEARCH_PRIME_LIMIT, width)
+    )
+
+
+def _small_prime_factors(m: int) -> list[int]:
+    """The primes below SEARCH_PRIME_LIMIT that divide m > 0, ascending.
+
+    Below SMALL_PRIME_LIMIT they come from _tree_primes, above it from one
+    gcd per block of _search_products. A gcd below low^2 is one prime; a
+    larger one, a product of several primes of the block, is split by trial
+    division over the block.
+
+    >>> _small_prime_factors(2**5 * 3 * 4099 * 65521 * 65537)
+    [2, 3, 4099, 65521]
+    """
+    found = _tree_primes(m)
+    for low, product in _search_products():
+        g = math.gcd(m, product)
+        if g >= low * low:
+            found += [q for q in range(low + 1, low + SMALL_PRIME_LIMIT, 2) if g % q == 0]
+        elif g > 1:
+            found.append(g)
+    return found
+
+
 def prime_factor_candidates(values: Iterable[int]) -> tuple[int, ...]:
     """Candidate prime factors of the positive values, largest first.
 
-    Each value gives every prime below SMALL_PRIME_LIMIT that divides it,
-    found by gcds down a product tree of those primes, and its cofactor
-    after removing them if that is below DETERMINISTIC_PRIMALITY_BOUND: a
-    prime, or a product of primes above SMALL_PRIME_LIMIT, which
-    lucas_n_plus_1 rejects when it tests the candidates it uses.
+    Each value gives every prime below SMALL_PRIME_LIMIT that divides it
+    (_tree_primes), and its cofactor after removing them if that is below
+    DETERMINISTIC_PRIMALITY_BOUND: a prime, or a product of primes above
+    SMALL_PRIME_LIMIT, which lucas_n_plus_1 rejects when it tests the
+    candidates it uses.
 
     >>> prime_factor_candidates([2 * 3**2 * 4099, 35])
     (4099, 7, 5, 3, 2)
     """
-    tree = _small_prime_tree()
     found = set()
     for v in values:
-        nodes = [0] if math.gcd(v, tree[-1][0]) > 1 else []
-        for level in reversed(tree[:-1]):
-            nodes = [
-                c for i in nodes for c in (2 * i, 2 * i + 1)
-                if c < len(level) and math.gcd(v, level[c]) > 1
-            ]
-        for i in nodes:
-            q = tree[0][i]
+        for q in _tree_primes(v):
             found.add(q)
             while v % q == 0:
                 v //= q
@@ -382,30 +576,18 @@ def prime_factor_candidates(values: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(found, reverse=True))
 
 
-def next_proved_prime_in_ap(
-    cls: CongruenceClass, lower: int, terms: Sequence[int] = ()
-) -> tuple[int, str]:
-    """Smallest prime p >= lower in the residue class, and prove_prime's tag
-    for it.
-
-    The candidate factors of p+1 for the N+1 proof come from `terms`,
-    factored once, at the first term of the progression above
-    DETERMINISTIC_PRIMALITY_BOUND. Scans the progression term by term.
-    Existence is guaranteed whenever gcd(residue, modulus) = 1; the cap of
-    DEFAULT_PRIME_SEARCH_STEPS terms is purely pragmatic.
-    """
+def _progression(cls: CongruenceClass, lower: int) -> Iterator[int]:
+    """The terms >= lower of the residue class, ascending, then
+    SearchExhausted after DEFAULT_PRIME_SEARCH_STEPS of them. A class with
+    gcd(residue, modulus) = 1 holds primes beyond every bound, so the cap is
+    purely pragmatic; any other class raises NotCoprime."""
     r, m = cls.residue, cls.modulus
     if math.gcd(r, m) != 1:
         raise NotCoprime(f"class {cls} contains at most one prime")
     lower = max(lower, 2)
     candidate = lower + (r - lower) % m
-    primes: tuple[int, ...] | None = None
     for _ in range(DEFAULT_PRIME_SEARCH_STEPS):
-        if primes is None and candidate >= DETERMINISTIC_PRIMALITY_BOUND:
-            primes = prime_factor_candidates(terms)
-        method = prove_prime(candidate, primes or ())
-        if method is not None:
-            return candidate, method
+        yield candidate
         candidate += m
     raise SearchExhausted(
         f"no prime = {r} (mod {m}) within {DEFAULT_PRIME_SEARCH_STEPS} terms "
@@ -413,9 +595,22 @@ def next_proved_prime_in_ap(
     )
 
 
+def next_proved_prime_in_ap(
+    cls: CongruenceClass, lower: int, terms: Sequence[int] = ()
+) -> tuple[int, str]:
+    """Smallest prime p >= lower in the residue class, and prove_prime's tag
+    for it; `terms` divide p+1 for every p in the class (the tail of a
+    chain)."""
+    return next(
+        (c, method) for c in _progression(cls, lower)
+        if (method := prove_prime(c, terms)) is not None
+    )
+
+
 def next_prime_in_ap(cls: CongruenceClass, lower: int) -> int:
-    """Smallest prime p >= lower with p in the given residue class."""
-    return next_proved_prime_in_ap(cls, lower)[0]
+    """Smallest prime p >= lower with p in the given residue class, by
+    is_prime alone."""
+    return next(c for c in _progression(cls, lower) if is_prime(c))
 
 
 def next_prime(lower: int) -> int:

@@ -13,9 +13,14 @@ their inner point certificate as a two-space indented block after an
 
 The primality line names the test that shows p prime, re-run by the
 checker: "miller-rabin-deterministic" below DETERMINISTIC_PRIMALITY_BOUND;
-above it "lucas-n-plus-1", an N+1 proof from the prime factors of p+1 that
-the chain's tail supplies, or "miller-rabin-probabilistic-64" where that
-proof does not apply. Version 2 added the "lucas-n-plus-1" tag.
+above it "lucas-n-plus-1", an N+1 proof from prime factors of p+1 (those the
+chain's tail supplies, and where they fall short every prime below 2^16 of
+p+1 and the cofactors these leave in the tail, each proved by a nested N-1
+or N+1 proof), in the square or the cube-root form; or
+"miller-rabin-probabilistic-64" where no such proof applies. Version 2
+added the "lucas-n-plus-1" tag. Version 3 widened the proof, so some
+documents that derived "miller-rabin-probabilistic-64" now derive
+"lucas-n-plus-1"; the parser rejects versions 1 and 2.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from .lab import DiscrepancyReport
 from .lift import Certificate, WitnessPoint
 from .poly import MonicPolynomial, PolyCertificate
 
-CERTIFICATE_VERSION = 2
+CERTIFICATE_VERSION = 3
 
 # How one field's value is written (show) and read back (read).
 Codec = namedtuple("Codec", "show read")

@@ -103,17 +103,21 @@ def box_discrepancy(p: int, n: int, k: int) -> DiscrepancyReport:
     _check_walk(p, n)
     inv = _inverses(p)
     box = [v * k // p for v in range(p)]  # box index of residue v on one axis
-    row = [j * k for j in box]  # axis n-1, weighted by the last axis's k boxes
-    last_box = [box[u] for u in inv]  # box of the last residue when acc * v = u
     counts = [0] * cells
-    for prefix in product(range(1, p), repeat=n - 2):
-        acc = prod(prefix) % p
-        base = 0
-        for v in prefix:
-            base = base * k + box[v]
-        base *= k * k
+    if n == 2:  # the one prefix is empty, acc = 1: the last residue is inv[v]
         for v in range(1, p):
-            counts[base + row[v] + last_box[acc * v % p]] += 1
+            counts[box[v] * k + box[inv[v]]] += 1
+    else:
+        row = [j * k for j in box]  # axis n-1, weighted by the last axis's k boxes
+        last_box = [box[u] for u in inv]  # box of the last residue when acc * v = u
+        for prefix in product(range(1, p), repeat=n - 2):
+            acc = prod(prefix) % p
+            base = 0
+            for v in prefix:
+                base = base * k + box[v]
+            base *= k * k
+            for v in range(1, p):
+                counts[base + row[v] + last_box[acc * v % p]] += 1
     total = (p - 1) ** (n - 1)
     # |count/total - 1/k^n| = |count * k^n - total| / (total * k^n)
     deviations = [abs(c * cells - total) for c in counts]

@@ -19,14 +19,12 @@ from fractions import Fraction
 from functools import cached_property
 
 from .arith import (
-    DETERMINISTIC_PRIMALITY_BOUND,
     CongruenceClass,
     check_eps,
     crt,
     mod_inverse,
     next_proved_prime_in_ap,
     primality_method,
-    prime_factor_candidates,
     prove_prime,
 )
 from .chain import (
@@ -103,10 +101,7 @@ class Certificate:
         Above DETERMINISTIC_PRIMALITY_BOUND, the N+1 proof draws its factors
         of p+1 from the tail a2..an of the chain (p = -1 mod a2*...*an).
         """
-        p = self.witness.p
-        if p < DETERMINISTIC_PRIMALITY_BOUND:
-            return prove_prime(p)
-        return prove_prime(p, prime_factor_candidates(self.chain.a[2:]))
+        return prove_prime(self.witness.p, self.chain.a[2:])
 
     @property
     def primality_method(self) -> str:

@@ -488,12 +488,116 @@ def _boundary_pair(rng):
 
 
 def test_lucas_bound_on_both_sides():
+    # n_hi is proved in the square form; n_lo, past (F-1)^2 but below
+    # (F-1)^3, in the cube-root form
     rng = random.Random(1109)
     for _ in range(20):
         qs, f, n_hi, n_lo = _boundary_pair(rng)
-        assert (f - 1) ** 2 > n_hi and (f - 1) ** 2 <= n_lo < f**2
+        assert (f - 1) ** 2 > n_hi and (f - 1) ** 2 <= n_lo < f**2 < (f - 1) ** 3
         assert lucas_n_plus_1(n_hi, qs) is True
-        assert lucas_n_plus_1(n_lo, qs) is None
+        assert lucas_n_plus_1(n_lo, qs) is True
+        assert not arith._splits(n_lo, f, -1)
+
+
+def _cube_boundary_pair(rng, e):
+    """F = 6 * (primes above 5), and the primes n = F*k + e nearest to
+    (F-1)^3 on either side with gcd(k, F) = 1, so that F is the whole part
+    of n - e over F's primes."""
+    while True:
+        qs = [2, 3] + [sympy.randprime(7, 2**rng.randint(3, 14)) for _ in range(rng.randint(0, 2))]
+        f = math.prod(qs)
+        cube = (f - 1) ** 3
+        k = (cube - e) // f
+        admissible = [
+            n for n in (f * j + e for j in range(k - 3000, k + 3000))
+            if math.gcd((n - e) // f, f) == 1 and sympy.isprime(n)
+        ]
+        below = [n for n in admissible if n < cube]
+        above = [n for n in admissible if n >= cube]
+        if below and above:
+            return qs, f, below[-1], above[0]
+
+
+@pytest.mark.parametrize("e", (-1, 1))
+def test_cube_bound_on_both_sides(e):
+    # N+1 (e = -1) and N-1 (e = 1): a prime just below (F-1)^3 is proved in
+    # the cube-root form, one at or above it is out of reach
+    rng = random.Random(1115 + e)
+    for _ in range(20):
+        qs, f, below, above = _cube_boundary_pair(rng, e)
+        assert (f - 1) ** 2 <= below < (f - 1) ** 3 <= above
+        assert arith._proof(below, e, qs, 1) is True
+        assert arith._proof(above, e, qs, 1) is None
+        if e < 0:
+            assert lucas_n_plus_1(below, qs) is True
+            assert lucas_n_plus_1(above, qs) is None
+
+
+def _cube_range_semiprimes(rng, e, count):
+    """(n, qs, branch): n = (aF+1)(bF+e) with both factors prime and
+    (F-1)^2 <= n < (F-1)^3, F = prod(qs) the whole part of n - e over its
+    primes; branch tells whether (s, k) = (c1, c2), the first case of
+    _splits."""
+    found = []
+    while len(found) < count:
+        qs = [sympy.randprime(2, 2**rng.randint(2, 10)) for _ in range(rng.randint(2, 4))]
+        f = math.prod(qs)
+        if f < 30:
+            continue
+        a = rng.randint(1, f - 4)
+        b = rng.randint(1, max(1, (f - 4) // a))
+        n = (a * f + 1) * (b * f + e)
+        if (
+            (f - 1) ** 2 <= n < (f - 1) ** 3
+            and math.gcd((n - e) // f, f) == 1
+            and sympy.isprime(a * f + 1)
+            and sympy.isprime(b * f + e)
+        ):
+            found.append((n, qs, b + e * a == (n - e) // f % f))
+    return found
+
+
+@pytest.mark.parametrize("e", (-1, 1))
+def test_cube_form_never_proves_semiprimes(e, monkeypatch):
+    # every prime factor of such an n is 1 or e (mod F), so even where the
+    # order conditions hold (forced below) the cube-root form must find the
+    # two factors, in either (s, k) branch; for N-1 the second one needs
+    # a + b >= F, so ab >= F - 1 and n > F^3, and never occurs
+    rng = random.Random(1112 - e)
+    semiprimes = _cube_range_semiprimes(rng, e, 300)
+    assert {branch for _, _, branch in semiprimes} == ({True, False} if e < 0 else {True})
+    for n, qs, _ in semiprimes:
+        assert arith._splits(n, math.prod(qs), e), (n, qs)
+        assert arith._proof(n, e, qs, 1) is not True, (n, qs)
+        if e < 0:
+            assert lucas_n_plus_1(n, qs) is not True
+    monkeypatch.setattr(arith, "_order_conditions", lambda *args: True)
+    for n, qs, _ in semiprimes:
+        assert arith._proof(n, e, qs, 1) is False, (n, qs)
+
+
+def test_pocklington_never_proves_pseudoprimes_or_carmichael_numbers():
+    # Carmichael numbers satisfy x^(n-1) = 1 for every x coprime to n, so
+    # only the gcd conditions and the bound on F can reject them
+    chernick = _chernick(12) + _chernick(3, 10**8)
+    for n in STRONG_BASE_2 + CARMICHAEL + PSI + tuple(chernick):
+        assert arith._proof(n, 1, list(sympy.factorint(n - 1)), 1) is not True, n
+        assert arith._extended_proof(n, 1, (), 1) is not True, n
+
+
+def test_small_prime_factors_against_sympy():
+    rng = random.Random(1116)
+    block_primes = list(sympy.primerange(2**13, 2**13 + 2**12))
+    for _ in range(300):
+        m = rng.getrandbits(rng.randint(1, 200)) + 1
+        m *= math.prod(rng.sample(block_primes, rng.randint(0, 3)))  # several in one block
+        m *= sympy.randprime(2, 2**16) ** rng.randint(0, 2)
+        expected = sorted(q for q in sympy.factorint(m, limit=2**16) if q < arith.SEARCH_PRIME_LIMIT)
+        assert sorted(arith._small_prime_factors(m)) == expected, m
+    products = arith._search_products()
+    assert math.prod(product for _, product in products) == math.prod(
+        sympy.primerange(arith.SMALL_PRIME_LIMIT, arith.SEARCH_PRIME_LIMIT)
+    )
 
 
 def test_prove_prime_tags_on_both_sides_of_the_bound():
@@ -527,11 +631,72 @@ def test_next_proved_prime_in_ap_matches_next_prime_in_ap():
         p, proof = next_proved_prime_in_ap(cls, lower, tail)
         assert p == next_prime_in_ap(cls, lower)
         assert sympy.isprime(p)
-        assert proof == prove_prime(p, prime_factor_candidates(tail))
+        assert proof == prove_prime(p, tail)
         if p < DETERMINISTIC_PRIMALITY_BOUND:
             assert proof == DETERMINISTIC_TAG
         elif (m - 1) ** 2 > p:
             assert proof == LUCAS_TAG
+
+
+def test_composite_cofactor_above_the_bound_never_enters_f(monkeypatch):
+    # p + 1 = 6 * c * k with c = r * s above the bound: c would carry F past
+    # the cube root of p, but a composite never gets the nested proof it
+    # needs, even when it passes the first seeded round (forced here)
+    rng = random.Random(1113)
+    c = sympy.randprime(2**59, 2**60) * sympy.randprime(2**60, 2**61)
+    assert c > DETERMINISTIC_PRIMALITY_BOUND
+    p = next(p for p in (6 * c * (rng.getrandbits(40) | 1) - 1 for _ in range(10**4)) if sympy.isprime(p))
+    assert (6 * c - 1) ** 2 > p  # with c, F would reach the square form
+    first = arith._first_test_passes
+    monkeypatch.setattr(arith, "_first_test_passes", lambda q: q == c or first(q))
+    assert prove_prime(p, [c]) == prove_prime(p, [6 * c]) == prove_prime(p) == PROBABILISTIC_TAG
+    # a prime of the same size in its place is proved, nested one deep
+    prime = sympy.nextprime(c)
+    q = next(q for q in (6 * prime * (rng.getrandbits(40) | 1) - 1 for _ in range(10**4)) if sympy.isprime(q))
+    assert arith._nested_proof(prime, 1) == (prove_prime(q, [prime]) == LUCAS_TAG)
+
+
+def _nested_chain(rng, levels):
+    """A prime p = 2h * c_1 - 1 with c_i = 2h * c_(i+1) + 1 for primes c_1
+    > ... > c_levels above DETERMINISTIC_PRIMALITY_BOUND and c_(levels+1)
+    below it, each h a fresh number below 2^10: c_i has an N-1 proof from
+    c_(i+1), nested i deep in the proof of p."""
+    c = sympy.prevprime(DETERMINISTIC_PRIMALITY_BOUND // rng.randint(2, 2**8))
+    for sign in (1,) * levels + (-1,):
+        while True:
+            h = rng.randint(2**8, 2**10)
+            if sympy.isprime(2 * h * c + sign):
+                c = 2 * h * c + sign
+                break
+    return c
+
+
+def test_proof_depth_cap(monkeypatch):
+    depths = []
+    nested = arith._nested_proof
+
+    def spy(c, depth):
+        depths.append(depth)
+        return nested(c, depth)
+
+    monkeypatch.setattr(arith, "_nested_proof", spy)
+    # p + 1 = 2h * c_1 is the only term: it hands stage 2 the cofactor c_1
+    rng = random.Random(1114)
+    two, three = _nested_chain(rng, 2), _nested_chain(rng, 3)
+    assert arith.PROOF_DEPTH_LIMIT == 2
+    assert prove_prime(two, [two + 1]) == LUCAS_TAG
+    assert max(depths) == 2
+    depths.clear()
+    assert prove_prime(three, [three + 1]) == PROBABILISTIC_TAG  # c_3 would be nested 3 deep
+    assert max(depths) == 2
+    monkeypatch.setattr(arith, "PROOF_DEPTH_LIMIT", 3)
+    depths.clear()
+    assert prove_prime(three, [three + 1]) == LUCAS_TAG
+    assert max(depths) == 3
+    monkeypatch.setattr(arith, "PROOF_DEPTH_LIMIT", 1)
+    depths.clear()
+    prove_prime(two, [two + 1])
+    assert max(depths) == 1
 
 
 # ---------------------------------------------------------------- factorize

@@ -1,8 +1,11 @@
 import dataclasses
+import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from unitprod.certio import (
     CERTIFICATE_VERSION,
@@ -12,7 +15,8 @@ from unitprod.certio import (
     serialize_poly_certificate,
     serialize_report,
 )
-from unitprod.chain import TargetPoint
+from unitprod.arith import PROBABILISTIC_TAG
+from unitprod.chain import Chain, TargetPoint
 from unitprod.errors import CertificateFormatError, InputTooLarge
 from unitprod import lift
 from unitprod.lab import box_discrepancy
@@ -85,8 +89,9 @@ def test_parse_rejects_malformed(point_cert):
         parse_document(document.replace("point-certificate", "mystery"))
     with pytest.raises(CertificateFormatError):
         parse_document(document.replace(f"version: {CERTIFICATE_VERSION}", "version: 99"))
-    with pytest.raises(CertificateFormatError, match="unsupported version"):
-        parse_document(document.replace(f"version: {CERTIFICATE_VERSION}", "version: 1"))
+    for older in (1, 2):  # 3 changed the primality tag some documents derive
+        with pytest.raises(CertificateFormatError, match="unsupported version"):
+            parse_document(document.replace(f"version: {CERTIFICATE_VERSION}", f"version: {older}"))
     with pytest.raises(CertificateFormatError):
         parse_document(document + "extra: 1\n")
     with pytest.raises(CertificateFormatError):
@@ -181,3 +186,38 @@ def test_poly_values_past_the_digit_limit_raise_input_too_large(point_cert):
     assert "degree 90" in message
     assert f"{limit}-digit" in message
     assert sys.get_int_max_str_digits() == limit  # the interpreter-wide limit is untouched
+
+
+# verification of a hostile document must end within this many seconds
+HOSTILE_BUDGET_S = 1.0
+
+
+def test_hostile_tail_is_decided_within_the_budget():
+    # a 540-bit p whose tail terms are products of two ~60-bit primes: stage 1
+    # finds no factor, the cube root stays out of reach, and stage 2 searches
+    # p+1 and fails every composite cofactor (p+1 keeps under 180 bits
+    # outside the tail, below the cube root of p), so p ends with the 64
+    # seeded rounds
+    rng = random.Random(1201)
+    tail = sorted(
+        sympy.randprime(2**59, 2**60) * sympy.randprime(2**60, 2**61) for _ in range(3)
+    )
+    chain = Chain((1, 3, *tail))
+    target = TargetPoint(tuple(Fraction(a, b) for a, b in zip(chain.a, chain.a[1:])))
+    congruence = lift.dirichlet_residue(chain)
+    floor = lift.min_prime_for_error(chain, Fraction(1, 2))
+    start = 2**539 + rng.getrandbits(500)
+    p = next(
+        p for p in range(start + (congruence.residue - start) % congruence.modulus,
+                         start + 10**4 * congruence.modulus, congruence.modulus)
+        if sympy.isprime(p)
+    )
+    cert = lift.Certificate(target, Fraction(1), chain, congruence, floor,
+                            lift.lift_chain(chain, p), "search")
+    document = serialize_certificate(cert)
+    assert f"version: {CERTIFICATE_VERSION}\n" in document
+    assert f"primality: {PROBABILISTIC_TAG}\n" in document
+    started = time.perf_counter()
+    parsed = parse_document(document)
+    assert check_certificate(parsed) is None
+    assert time.perf_counter() - started < HOSTILE_BUDGET_S

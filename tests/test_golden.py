@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from unitprod import arith
 from unitprod.certio import (
     CERTIFICATE_VERSION,
     parse_document,
@@ -66,6 +67,26 @@ def test_parse_serialize_round_trip(name):
     text = (GOLDEN / name).read_bytes().decode()
     document = parse_document(text)
     assert SERIALIZERS[type(document)](document) == text
+
+
+@pytest.mark.parametrize("name, form", [
+    ("point-faithful-n4-cube.cert", "cube"),
+    ("point-faithful-n5-nested.cert", "nested"),
+    ("point-faithful-n5-fallback.cert", "fallback"),
+])
+def test_corpus_covers_each_proof_form(name, form, monkeypatch):
+    # one entry proved in the cube-root form, one through a nested proof of
+    # a cofactor, one that still falls back to the 64 seeded rounds
+    seen = []
+    splits, nested = arith._splits, arith._nested_proof
+    monkeypatch.setattr(arith, "_splits", lambda *args: seen.append("cube") or splits(*args))
+    monkeypatch.setattr(
+        arith, "_nested_proof", lambda *args: nested(*args) and not seen.append("nested")
+    )
+    document = parse_document((GOLDEN / name).read_text(encoding="utf-8"))
+    fallback = document.primality_method == arith.PROBABILISTIC_TAG
+    assert (form == "fallback") == fallback
+    assert (form in seen) or fallback
 
 
 def stored_version(data: bytes) -> int | None:
