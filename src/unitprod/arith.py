@@ -345,17 +345,21 @@ def _splits(n: int, f: int, e: int) -> bool:
     return False
 
 
-def _proof(n: int, e: int, candidates: Iterable[int], depth: int) -> bool | None:
+def _proof(
+    n: int, e: int, candidates: Iterable[int], depth: int, primes: Iterable[int] = ()
+) -> bool | None:
     """The N+1 (e = -1) or N-1 (e = 1) proof of odd n from candidate prime
-    factors of m = n - e: True when it shows n prime, False when it shows n
-    composite, None when it does not apply.
+    factors of m = n - e, and from `primes`, known primes: True when it
+    shows n prime, False when it shows n composite, None when it does not
+    apply.
 
     Each candidate that divides m and is proved prime enters F at its full
     valuation in m, largest first, until (F-1)^2 > n, or (F-1)^3 > n once
-    the candidates left cannot reach (F-1)^2 > n. is_prime decides a
-    candidate below DETERMINISTIC_PRIMALITY_BOUND. One above it counts only
-    while depth <= PROOF_DEPTH_LIMIT, after the first seeded round and a
-    proof of its own nested `depth` deep (_nested_proof).
+    the candidates left cannot reach (F-1)^2 > n. A known prime needs no
+    proof. is_prime decides a candidate below DETERMINISTIC_PRIMALITY_BOUND.
+    One above it counts only while depth <= PROOF_DEPTH_LIMIT, after the
+    first seeded round and a proof of its own nested `depth` deep
+    (_nested_proof).
 
     Once _order_conditions hold, every prime factor of n is at least F - 1.
     With (F-1)^2 > n that proves n prime. With only (F-1)^3 > n, n has at
@@ -368,15 +372,15 @@ def _proof(n: int, e: int, candidates: Iterable[int], depth: int) -> bool | None
     (True, False, None)
     """
     m = n - e
+    known = set(primes)
     powers = {}
-    for q in sorted(set(candidates), reverse=True):
+    for q in sorted(known.union(candidates), reverse=True):
         # most composites fail is_prime's first base, which costs a full
         # test's fraction: a hopeless F is given up before any full test
-        if (
-            q > 1 and m % q == 0
-            and (q < DETERMINISTIC_PRIMALITY_BOUND or depth <= PROOF_DEPTH_LIMIT)
+        if q > 1 and m % q == 0 and (q in known or (
+            (q < DETERMINISTIC_PRIMALITY_BOUND or depth <= PROOF_DEPTH_LIMIT)
             and _first_test_passes(q)
-        ):
+        )):
             power = q
             while m % (power * q) == 0:
                 power *= q
@@ -388,7 +392,9 @@ def _proof(n: int, e: int, candidates: Iterable[int], depth: int) -> bool | None
         exponent = 2 if (reach - 1) ** 2 > n else 3
         if (f - 1) ** exponent > n or (reach - 1) ** 3 <= n:
             break
-        if is_prime(q) if q < DETERMINISTIC_PRIMALITY_BOUND else _nested_proof(q, depth):
+        if q in known or (
+            is_prime(q) if q < DETERMINISTIC_PRIMALITY_BOUND else _nested_proof(q, depth)
+        ):
             f *= power
             used.append(q)
         else:
@@ -419,9 +425,10 @@ def lucas_n_plus_1(n: int, primes: Iterable[int]) -> bool | None:
 def _extended_proof(n: int, e: int, terms: Iterable[int], depth: int) -> bool | None:
     """_proof of n from every prime below SEARCH_PRIME_LIMIT that divides
     m = n - e, and from the cofactors those primes leave in `terms`, known
-    divisors of m: the part of m each term shares, in turn. A cofactor
-    above DETERMINISTIC_PRIMALITY_BOUND enters F only with a proof nested
-    `depth` deep.
+    divisors of m: the part of m each term shares, in turn. The primes come
+    from the product tree and the sieve, so they enter F untested. A
+    cofactor above DETERMINISTIC_PRIMALITY_BOUND enters F only with a proof
+    nested `depth` deep.
     """
     m = n - e
     small = _small_prime_factors(m)
@@ -435,7 +442,7 @@ def _extended_proof(n: int, e: int, terms: Iterable[int], depth: int) -> bool | 
         if piece > 1:
             pieces.append(piece)
             rest //= piece
-    return _proof(n, e, [*small, *pieces], depth)
+    return _proof(n, e, pieces, depth, small)
 
 
 def _nested_proof(c: int, depth: int) -> bool:
@@ -458,9 +465,9 @@ def prove_prime(n: int, terms: Iterable[int] = ()) -> str | None:
     with `terms` known divisors of n+1 (the tail of a chain). Stage 1 is
     lucas_n_plus_1 on their prime_factor_candidates. Where that F stays
     short, stage 2 adds every prime below SEARCH_PRIME_LIMIT that divides
-    n+1 and the cofactors those primes leave in the terms, each proved prime
-    (_extended_proof). Only where neither applies does n get is_prime's
-    other rounds.
+    n+1 and the cofactors those primes leave in the terms, each cofactor
+    proved prime (_extended_proof). Only where neither applies does n get
+    is_prime's other rounds.
     """
     if n < DETERMINISTIC_PRIMALITY_BOUND:
         return DETERMINISTIC_TAG if is_prime(n) else None
@@ -523,13 +530,19 @@ def _tree_primes(v: int) -> list[int]:
 def _search_products() -> tuple[tuple[int, int], ...]:
     """(low, product of the primes in [low, low + SMALL_PRIME_LIMIT)) for
     each low from SMALL_PRIME_LIMIT up to SEARCH_PRIME_LIMIT: 15 integers of
-    about 11 KB in all, built on first use."""
-    flags = _sieve(SEARCH_PRIME_LIMIT)
+    about 11 KB in all, built on first use. Each block is sieved on its own
+    by the primes of _small_prime_tree up to the square root of its end."""
     width = SMALL_PRIME_LIMIT
-    return tuple(
-        (low, math.prod(itertools.compress(range(low, low + width), flags[low : low + width])))
-        for low in range(SMALL_PRIME_LIMIT, SEARCH_PRIME_LIMIT, width)
-    )
+    products = []
+    for low in range(SMALL_PRIME_LIMIT, SEARCH_PRIME_LIMIT, width):
+        flags = bytearray([1]) * width  # flags[i]: low + i has no factor sieved so far
+        for q in _small_prime_tree()[0]:
+            if q * q >= low + width:
+                break
+            start = -low % q  # low > q, so no q itself is struck
+            flags[start::q] = bytes(len(range(start, width, q)))
+        products.append((low, math.prod(itertools.compress(range(low, low + width), flags))))
+    return tuple(products)
 
 
 def _small_prime_factors(m: int) -> list[int]:

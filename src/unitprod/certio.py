@@ -20,7 +20,10 @@ or N+1 proof), in the square or the cube-root form; or
 "miller-rabin-probabilistic-64" where no such proof applies. Version 2
 added the "lucas-n-plus-1" tag. Version 3 widened the proof, so some
 documents that derived "miller-rabin-probabilistic-64" now derive
-"lucas-n-plus-1"; the parser rejects versions 1 and 2.
+"lucas-n-plus-1". Version 4 widened a poly certificate's root precision
+and inner eps from eps/2^(d+2) to eps/(4d) (poly.py's Lipschitz budget),
+so its root-precision line and its witness changed; the parser rejects
+versions 1 to 3.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .lab import DiscrepancyReport
 from .lift import Certificate, WitnessPoint
 from .poly import MonicPolynomial, PolyCertificate
 
-CERTIFICATE_VERSION = 3
+CERTIFICATE_VERSION = 4
 
 # How one field's value is written (show) and read back (read).
 Codec = namedtuple("Codec", "show read")

@@ -1,10 +1,13 @@
 """Certificates for coordinates transformed by a monic polynomial.
 
 To land f(x_i)/p^d near alpha_i it is enough to land x_i/p near the d-th
-root of alpha_i and take p large: the binomial expansion bounds
-|x^d/p^d - alpha| once |x/p - alpha^(1/d)| < eps/2^(d+1), and the lower
-order terms contribute at most d*height/p < eps/2 once p > 2*d*height/eps.
-The final errors are still checked exactly, independent of those bounds.
+root of alpha_i and take p large. The leading term obeys a Lipschitz bound:
+for s, t in [0, 1], |s^d - t^d| = |s - t| * (s^(d-1) + ... + t^(d-1)) <=
+d*|s - t|. So |x^d/p^d - alpha| < eps/2 once |x/p - alpha^(1/d)| < eps/(2d),
+a budget split evenly: the rational root is within eps/(4d) of
+alpha^(1/d), and the witness within eps/(4d) of that root. The lower order
+terms contribute at most d*height/p < eps/2 once p > 2*d*height/eps. The
+final errors are still checked exactly, independent of those bounds.
 """
 
 from __future__ import annotations
@@ -112,13 +115,13 @@ def rational_root(
 
 
 def _root_precision(eps: Fraction, d: int) -> Fraction:
-    return eps / 2 ** (d + 2)
+    return eps / (4 * d)
 
 
 def _inner_eps(eps: Fraction, d: int) -> Fraction:
-    # the root budget eps/2^(d+1) is split evenly between approximating the
-    # root rationally and approximating that rational by a witness
-    return eps / 2 ** (d + 1) - _root_precision(eps, d)
+    # the other half of the root budget eps/(2d): the witness's distance to
+    # the rational root
+    return eps / (4 * d)
 
 
 def _prime_floor(f: MonicPolynomial, eps: Fraction) -> int:

@@ -588,16 +588,39 @@ def test_pocklington_never_proves_pseudoprimes_or_carmichael_numbers():
 def test_small_prime_factors_against_sympy():
     rng = random.Random(1116)
     block_primes = list(sympy.primerange(2**13, 2**13 + 2**12))
+    search_primes = list(sympy.primerange(2, arith.SEARCH_PRIME_LIMIT))
     for _ in range(300):
         m = rng.getrandbits(rng.randint(1, 200)) + 1
         m *= math.prod(rng.sample(block_primes, rng.randint(0, 3)))  # several in one block
         m *= sympy.randprime(2, 2**16) ** rng.randint(0, 2)
-        expected = sorted(q for q in sympy.factorint(m, limit=2**16) if q < arith.SEARCH_PRIME_LIMIT)
+        expected = [q for q in search_primes if m % q == 0]  # trial division
         assert sorted(arith._small_prime_factors(m)) == expected, m
     products = arith._search_products()
     assert math.prod(product for _, product in products) == math.prod(
         sympy.primerange(arith.SMALL_PRIME_LIMIT, arith.SEARCH_PRIME_LIMIT)
     )
+    width = arith.SMALL_PRIME_LIMIT
+    assert products == tuple(
+        (low, math.prod(sympy.primerange(low, low + width)))
+        for low in range(width, arith.SEARCH_PRIME_LIMIT, width)
+    )
+
+
+def test_stage_2_tests_no_prime_below_the_search_limit(monkeypatch):
+    # the primes below SEARCH_PRIME_LIMIT come from the sieve and the product
+    # tree, so they enter F untested; only the cofactor c is tested
+    rng = random.Random(1117)
+    small = [2, 3, 5, 4099, 65521]
+    c = sympy.randprime(2**40, 2**41)
+    p = next(p for p in (math.prod(small) * c * (2 * rng.getrandbits(60) + 1) - 1
+                         for _ in range(10**4)) if sympy.isprime(p))
+    assert p > DETERMINISTIC_PRIMALITY_BOUND
+    tested = []
+    first, full = arith._first_test_passes, arith.is_prime
+    monkeypatch.setattr(arith, "_first_test_passes", lambda q: tested.append(q) or first(q))
+    monkeypatch.setattr(arith, "is_prime", lambda q: tested.append(q) or full(q))
+    assert arith._extended_proof(p, -1, (c,), 1) is True
+    assert tested and all(q >= arith.SEARCH_PRIME_LIMIT for q in tested), tested
 
 
 def test_prove_prime_tags_on_both_sides_of_the_bound():

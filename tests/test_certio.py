@@ -89,7 +89,8 @@ def test_parse_rejects_malformed(point_cert):
         parse_document(document.replace("point-certificate", "mystery"))
     with pytest.raises(CertificateFormatError):
         parse_document(document.replace(f"version: {CERTIFICATE_VERSION}", "version: 99"))
-    for older in (1, 2):  # 3 changed the primality tag some documents derive
+    # 3 changed the primality tag some documents derive, 4 the poly budget
+    for older in range(1, CERTIFICATE_VERSION):
         with pytest.raises(CertificateFormatError, match="unsupported version"):
             parse_document(document.replace(f"version: {CERTIFICATE_VERSION}", f"version: {older}"))
     with pytest.raises(CertificateFormatError):
@@ -143,6 +144,33 @@ def test_consistent_witness_edit_fails_the_relift(point_cert):
                if line != old]
     assert changed == ["witness", "errors"]
     assert check_certificate(parse_document(document)) == "witness-mismatch"
+
+
+def test_poly_at_degree_64_round_trips():
+    # the values f(x)/p^64 stay within CPython's int/str digit limit: under
+    # the eps/2^(d+2) budget p had 237 bits here and serializing raised
+    # InputTooLarge
+    rng = random.Random(64)
+    f = MonicPolynomial(64, tuple(rng.randint(-5, 5) for _ in range(64)))
+    cert = approximate_polynomial(f, TARGET, Fraction(1, 1000))
+    document = serialize_poly_certificate(cert)
+    parsed = parse_document(document)
+    assert parsed == cert
+    assert serialize_poly_certificate(parsed) == document
+    assert verify_poly_certificate(parsed)
+
+
+def test_poly_with_the_version_3_root_precision_is_rejected(poly_cert):
+    document = serialize_poly_certificate(poly_cert)
+    d, eps = poly_cert.f.degree, poly_cert.eps
+    current, old = eps / (4 * d), eps / 2 ** (d + 2)
+    line = "\nroot-precision: {}/{}\n"
+    assert line.format(current.numerator, current.denominator) in document
+    with pytest.raises(CertificateFormatError, match="field root-precision"):
+        parse_document(document.replace(
+            line.format(current.numerator, current.denominator),
+            line.format(old.numerator, old.denominator),
+        ))
 
 
 def test_poly_requires_inner_block(poly_cert):

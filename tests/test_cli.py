@@ -351,7 +351,7 @@ def test_verify_rejects_a_claimed_degree_past_the_digit_limit(tmp_path, capsys):
     # decimals; the short values line must be rejected, not end in exit 3
     golden = Path(__file__).parent / "data" / "golden" / "poly-d1.cert"
     degree = 2000
-    precision = Fraction(1, 10) / 2 ** (degree + 2)
+    precision = Fraction(1, 10) / (4 * degree)  # agrees, so parsing reaches values
     replace = {
         "degree": str(degree),
         "coeffs": ",".join(["3"] + ["0"] * (degree - 1)),

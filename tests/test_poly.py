@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unitprod import poly
 from unitprod.chain import TargetPoint
@@ -128,10 +130,10 @@ def test_poly_random_trials():
 @pytest.mark.parametrize(
     "degree, alphas, eps",
     [
-        # a middle alpha of 0 and a high degree each push the chain's prime
-        # floor past 3 * 2^40
-        (12, TargetPoint((Fraction(1, 2), 0, Fraction(1, 2))), Fraction(1, 100)),
-        (36, TargetPoint((Fraction(1, 3), Fraction(1, 2), Fraction(3, 4))), Fraction(1, 1000)),
+        # a middle alpha of 0 at a high degree pushes the chain's prime floor
+        # past 3 * 2^40: its root target 0 needs a1/a2 below eps/(4d)
+        (256, TargetPoint((Fraction(1, 2), 0, Fraction(1, 2))), Fraction(1, 1000)),
+        (512, TargetPoint((Fraction(1, 3), 0, Fraction(3, 4))), Fraction(1, 1000)),
     ],
 )
 def test_poly_needs_a_large_floor(degree, alphas, eps):
@@ -140,6 +142,30 @@ def test_poly_needs_a_large_floor(degree, alphas, eps):
     cert = approximate_polynomial(f, alphas, eps)
     assert check_poly_certificate(cert) is None
     assert cert.inner.chain.a[2] > 3 * 2**40
+
+
+ALPHAS = st.one_of(
+    st.sampled_from((Fraction(0), Fraction(1))),
+    st.integers(0, 1000).map(lambda k: Fraction(k, 1000)),
+)
+POLYS = st.integers(1, 64).flatmap(
+    lambda d: st.lists(st.integers(-5, 5), min_size=d, max_size=d)
+).map(lambda coeffs: MonicPolynomial(len(coeffs), tuple(coeffs)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    f=POLYS,
+    alphas=st.lists(ALPHAS, min_size=2, max_size=3),
+    eps=st.sampled_from((Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000))),
+)
+def test_lipschitz_budget_holds(f, alphas, eps):
+    # the eps/(4d) + eps/(4d) root budget and the prime floor keep every
+    # value within eps, also at the ends 0 and 1 of [0, 1]
+    cert = approximate_polynomial(f, TargetPoint(tuple(alphas)), eps)
+    assert cert.root_precision == cert.inner.eps == eps / (4 * f.degree)
+    assert check_poly_certificate(cert) is None
+    assert max(cert.errors) < eps
 
 
 def test_poly_verify_detects_tampering():
