@@ -45,23 +45,26 @@ PROBABILISTIC_TAG = f"miller-rabin-probabilistic-{DEFAULT_MILLER_RABIN_ROUNDS}"
 LUCAS_TAG = "lucas-n-plus-1"
 # values of P (N+1) or of the base (N-1) that _order_conditions tries, from 3 up
 LUCAS_PARAMETERS = 64
-# prime_factor_candidates finds by gcd every prime factor below this
+# the primes below this form one cached product, and sieve each search block
 SMALL_PRIME_LIMIT = 2**12
 
 SEARCH_PRIME_LIMIT = 2**16
-"""The search cap of stage 2 of the proof: _small_prime_factors finds every
-prime below this that divides a number, with one gcd per block of
-SMALL_PRIME_LIMIT integers against the cached product of the block's primes
-(15 gcds; the products take about 11 KB). No larger factor is searched for:
-a cofactor left by these primes enters F whole or not at all."""
+"""The search cap of the N+-1 proofs: _small_prime_factors finds every prime
+below this that divides a number, with one gcd against the product of the
+primes below SMALL_PRIME_LIMIT and one per block of SMALL_PRIME_LIMIT
+integers above it against the cached product of the block's primes (16
+gcds; the products take about 12 KB). No larger factor is searched for: a
+cofactor left by these primes enters F whole or not at all."""
 
 PROOF_DEPTH_LIMIT = 2
 """How deep proofs may nest inside the proof of p (depth 0). A cofactor
 above DETERMINISTIC_PRIMALITY_BOUND enters F only with an N-1 or N+1 proof
 of its own, one level deeper than the proof that uses it; a proof at this
 depth uses only factors that is_prime decides. With t tail terms, one proof
-of p thus runs at most 6t + 1 stage-2 searches: one for p, two for each of
-its t cofactors, two for the one cofactor each of those leaves."""
+of p thus runs at most 12t + 1 factor searches (_extended_proof): one for
+p; two, N-1 and N+1, for each of the at most 2t cofactors its terms offer;
+and two for the one cofactor each of those 4t searches leaves, as a nested
+proof's only term is c -+ 1 itself."""
 
 TRIAL_DIVISION_LIMIT = 10**6
 JACOBSTHAL_SCAN_LIMIT = 10**7
@@ -407,41 +410,31 @@ def _proof(
     return proof
 
 
-def lucas_n_plus_1(n: int, primes: Iterable[int]) -> bool | None:
-    """N+1 primality proof of odd n from known prime factors of n+1.
-
-    Returns True when the proof shows n prime, False when it shows n
-    composite, None when it does not apply. A candidate q counts only if it
-    is a prime below DETERMINISTIC_PRIMALITY_BOUND (is_prime decides it)
-    that divides n+1; _proof builds F from them and runs the test, in the
-    square form when (F-1)^2 > n and in the cube-root form when only
-    (F-1)^3 > n.
-    """
-    if n < 3 or n % 2 == 0:
-        return None
-    return _proof(n, -1, [q for q in primes if q < DETERMINISTIC_PRIMALITY_BOUND], 1)
-
-
 def _extended_proof(n: int, e: int, terms: Iterable[int], depth: int) -> bool | None:
     """_proof of n from every prime below SEARCH_PRIME_LIMIT that divides
     m = n - e, and from the cofactors those primes leave in `terms`, known
-    divisors of m: the part of m each term shares, in turn. The primes come
-    from the product tree and the sieve, so they enter F untested. A
-    cofactor above DETERMINISTIC_PRIMALITY_BOUND enters F only with a proof
-    nested `depth` deep.
+    divisors of m. Let `stripped` be m without those primes. Each term
+    offers two cofactors: the part of `stripped` it shares once the terms
+    before it have taken theirs, and its own gcd with `stripped`. The first
+    splits m between terms; the second keeps a large prime that two terms
+    share, which the first term's piece may hold inside a composite. The
+    primes below SEARCH_PRIME_LIMIT come from gcds with products of known
+    primes, so they enter F untested. A cofactor enters F only once proved
+    prime, and F is keyed by prime, so one offered twice counts once. A
+    cofactor above DETERMINISTIC_PRIMALITY_BOUND needs a proof nested
+    `depth` deep.
     """
     m = n - e
     small = _small_prime_factors(m)
-    rest = m
+    stripped = m
     for q in small:
-        while rest % q == 0:
-            rest //= q
-    pieces = []
+        while stripped % q == 0:
+            stripped //= q
+    rest, pieces = stripped, set()
     for t in terms:
         piece = math.gcd(t, rest)
-        if piece > 1:
-            pieces.append(piece)
-            rest //= piece
+        rest //= piece
+        pieces.update((piece, math.gcd(t, stripped)))
     return _proof(n, e, pieces, depth, small)
 
 
@@ -461,13 +454,11 @@ def prove_prime(n: int, terms: Iterable[int] = ()) -> str | None:
     """The tag of the test that shows n prime, or None when n is composite.
 
     Below DETERMINISTIC_PRIMALITY_BOUND that is is_prime. Above it, n gets
-    is_prime's trial division and first seeded round, then the N+1 proof,
-    with `terms` known divisors of n+1 (the tail of a chain). Stage 1 is
-    lucas_n_plus_1 on their prime_factor_candidates. Where that F stays
-    short, stage 2 adds every prime below SEARCH_PRIME_LIMIT that divides
-    n+1 and the cofactors those primes leave in the terms, each cofactor
-    proved prime (_extended_proof). Only where neither applies does n get
-    is_prime's other rounds.
+    is_prime's trial division and first seeded round, then the N+1 proof of
+    _extended_proof: from every prime below SEARCH_PRIME_LIMIT that divides
+    n+1, and from the cofactors those primes leave in `terms`, known
+    divisors of n+1 (the tail of a chain), each cofactor proved prime. Only
+    where that proof does not apply does n get is_prime's other rounds.
     """
     if n < DETERMINISTIC_PRIMALITY_BOUND:
         return DETERMINISTIC_TAG if is_prime(n) else None
@@ -476,10 +467,7 @@ def prove_prime(n: int, terms: Iterable[int] = ()) -> str | None:
     rounds = _strong_tests(n)
     if not next(rounds):
         return None
-    terms = tuple(terms)
-    proof = lucas_n_plus_1(n, prime_factor_candidates(terms))
-    if proof is None:
-        proof = _extended_proof(n, -1, terms, 1)
+    proof = _extended_proof(n, -1, terms, 1)
     if proof is not None:
         return LUCAS_TAG if proof else None
     return PROBABILISTIC_TAG if all(rounds) else None
@@ -496,34 +484,11 @@ def _sieve(limit: int) -> bytearray:
 
 
 @functools.cache
-def _small_prime_tree() -> tuple[tuple[int, ...], ...]:
-    """Product tree of the primes below SMALL_PRIME_LIMIT: the primes, then
-    each level the products of adjacent pairs of the one below, up to the
-    primorial. Built on first use."""
-    level = tuple(itertools.compress(range(SMALL_PRIME_LIMIT), _sieve(SMALL_PRIME_LIMIT)))
-    tree = [level]
-    while len(level) > 1:
-        level = tuple(math.prod(level[i : i + 2]) for i in range(0, len(level), 2))
-        tree.append(level)
-    return tuple(tree)
-
-
-def _tree_primes(v: int) -> list[int]:
-    """The primes below SMALL_PRIME_LIMIT that divide v > 0, ascending, by
-    gcds down _small_prime_tree.
-
-    >>> _tree_primes(2**3 * 3 * 4093 * 4099)
-    [2, 3, 4093]
-    """
-    tree = _small_prime_tree()
-    v = math.gcd(v, tree[-1][0])  # the same primes, in a number of their size
-    nodes = [0] if v > 1 else []
-    for level in reversed(tree[:-1]):
-        nodes = [
-            c for i in nodes for c in (2 * i, 2 * i + 1)
-            if c < len(level) and math.gcd(v, level[c]) > 1
-        ]
-    return [tree[0][i] for i in nodes]
+def _small_primes() -> tuple[tuple[int, ...], int]:
+    """The primes below SMALL_PRIME_LIMIT and their product, built on first
+    use."""
+    primes = tuple(itertools.compress(range(SMALL_PRIME_LIMIT), _sieve(SMALL_PRIME_LIMIT)))
+    return primes, math.prod(primes)
 
 
 @functools.cache
@@ -531,12 +496,12 @@ def _search_products() -> tuple[tuple[int, int], ...]:
     """(low, product of the primes in [low, low + SMALL_PRIME_LIMIT)) for
     each low from SMALL_PRIME_LIMIT up to SEARCH_PRIME_LIMIT: 15 integers of
     about 11 KB in all, built on first use. Each block is sieved on its own
-    by the primes of _small_prime_tree up to the square root of its end."""
+    by the primes of _small_primes up to the square root of its end."""
     width = SMALL_PRIME_LIMIT
     products = []
     for low in range(SMALL_PRIME_LIMIT, SEARCH_PRIME_LIMIT, width):
         flags = bytearray([1]) * width  # flags[i]: low + i has no factor sieved so far
-        for q in _small_prime_tree()[0]:
+        for q in _small_primes()[0]:
             if q * q >= low + width:
                 break
             start = -low % q  # low > q, so no q itself is struck
@@ -548,15 +513,18 @@ def _search_products() -> tuple[tuple[int, int], ...]:
 def _small_prime_factors(m: int) -> list[int]:
     """The primes below SEARCH_PRIME_LIMIT that divide m > 0, ascending.
 
-    Below SMALL_PRIME_LIMIT they come from _tree_primes, above it from one
-    gcd per block of _search_products. A gcd below low^2 is one prime; a
-    larger one, a product of several primes of the block, is split by trial
-    division over the block.
+    Below SMALL_PRIME_LIMIT they come from one gcd with the product of
+    _small_primes, split by trial division over those primes. Above it they
+    come from one gcd per block of _search_products. A gcd below low^2 is
+    one prime; a larger one, a product of several primes of the block, is
+    split by trial division over the block.
 
     >>> _small_prime_factors(2**5 * 3 * 4099 * 65521 * 65537)
     [2, 3, 4099, 65521]
     """
-    found = _tree_primes(m)
+    primes, primorial = _small_primes()
+    g = math.gcd(m, primorial)
+    found = [q for q in primes if g % q == 0]
     for low, product in _search_products():
         g = math.gcd(m, product)
         if g >= low * low:
@@ -564,29 +532,6 @@ def _small_prime_factors(m: int) -> list[int]:
         elif g > 1:
             found.append(g)
     return found
-
-
-def prime_factor_candidates(values: Iterable[int]) -> tuple[int, ...]:
-    """Candidate prime factors of the positive values, largest first.
-
-    Each value gives every prime below SMALL_PRIME_LIMIT that divides it
-    (_tree_primes), and its cofactor after removing them if that is below
-    DETERMINISTIC_PRIMALITY_BOUND: a prime, or a product of primes above
-    SMALL_PRIME_LIMIT, which lucas_n_plus_1 rejects when it tests the
-    candidates it uses.
-
-    >>> prime_factor_candidates([2 * 3**2 * 4099, 35])
-    (4099, 7, 5, 3, 2)
-    """
-    found = set()
-    for v in values:
-        for q in _tree_primes(v):
-            found.add(q)
-            while v % q == 0:
-                v //= q
-        if 1 < v < DETERMINISTIC_PRIMALITY_BOUND:
-            found.add(v)
-    return tuple(sorted(found, reverse=True))
 
 
 def _progression(cls: CongruenceClass, lower: int) -> Iterator[int]:

@@ -13,17 +13,20 @@ their inner point certificate as a two-space indented block after an
 
 The primality line names the test that shows p prime, re-run by the
 checker: "miller-rabin-deterministic" below DETERMINISTIC_PRIMALITY_BOUND;
-above it "lucas-n-plus-1", an N+1 proof from prime factors of p+1 (those the
-chain's tail supplies, and where they fall short every prime below 2^16 of
-p+1 and the cofactors these leave in the tail, each proved by a nested N-1
-or N+1 proof), in the square or the cube-root form; or
-"miller-rabin-probabilistic-64" where no such proof applies. Version 2
-added the "lucas-n-plus-1" tag. Version 3 widened the proof, so some
-documents that derived "miller-rabin-probabilistic-64" now derive
-"lucas-n-plus-1". Version 4 widened a poly certificate's root precision
-and inner eps from eps/2^(d+2) to eps/(4d) (poly.py's Lipschitz budget),
-so its root-precision line and its witness changed; the parser rejects
-versions 1 to 3.
+above it "lucas-n-plus-1", an N+1 proof from prime factors of p+1 (every
+prime below 2^16 of p+1, and the cofactors these leave in the chain's tail
+terms, each proved prime, by a nested N-1 or N+1 proof above the bound), in
+the square or the cube-root form; or "miller-rabin-probabilistic-64" where
+no such proof applies. Version 2 added the "lucas-n-plus-1" tag. Version 3
+widened the proof, so some documents that derived
+"miller-rabin-probabilistic-64" now derive "lucas-n-plus-1". Version 4
+widened a poly certificate's root precision and inner eps from eps/2^(d+2)
+to eps/(4d) (poly.py's Lipschitz budget), so its root-precision line and
+its witness changed. Version 5 collects the proof's factors in one
+procedure, which offers each tail term's own cofactor beside its share of
+p+1; F can now combine factors that the two stages of version 4 found
+apart, so some documents that derived "miller-rabin-probabilistic-64" now
+derive "lucas-n-plus-1". The parser rejects versions 1 to 4.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .lab import DiscrepancyReport
 from .lift import Certificate, WitnessPoint
 from .poly import MonicPolynomial, PolyCertificate
 
-CERTIFICATE_VERSION = 4
+CERTIFICATE_VERSION = 5
 
 # How one field's value is written (show) and read back (read).
 Codec = namedtuple("Codec", "show read")

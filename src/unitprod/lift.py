@@ -99,7 +99,8 @@ class Certificate:
         """The tag of the test that shows p prime, None if p is composite.
 
         Above DETERMINISTIC_PRIMALITY_BOUND, the N+1 proof draws its factors
-        of p+1 from the tail a2..an of the chain (p = -1 mod a2*...*an).
+        of p+1 from the primes below 2^16 of p+1 and from the tail a2..an of
+        the chain (p = -1 mod a2*...*an), whose terms divide p+1.
         """
         return prove_prime(self.witness.p, self.chain.a[2:])
 

@@ -16,13 +16,11 @@ from unitprod.arith import (
     is_prime,
     jacobi,
     jacobsthal,
-    lucas_n_plus_1,
     mod_inverse,
     next_prime,
     next_prime_in_ap,
     next_proved_prime_in_ap,
     primality_method,
-    prime_factor_candidates,
     prove_prime,
     strict_ceil,
     strict_floor,
@@ -303,22 +301,6 @@ def test_jacobi_against_sympy():
         assert jacobi(a, n) == sympy.jacobi_symbol(a, n), (a, n)
 
 
-def test_prime_factor_candidates_against_sympy():
-    rng = random.Random(1102)
-    for _ in range(300):
-        values = [rng.getrandbits(rng.randint(1, 64)) + 1 for _ in range(rng.randint(1, 4))]
-        expected = set()
-        for v in values:
-            factors = sympy.factorint(v)
-            small = {q for q in factors if q < arith.SMALL_PRIME_LIMIT}
-            expected |= small
-            cofactor = v // math.prod(q ** factors[q] for q in small)
-            if 1 < cofactor < DETERMINISTIC_PRIMALITY_BOUND:
-                expected.add(cofactor)
-        assert prime_factor_candidates(values) == tuple(sorted(expected, reverse=True))
-    assert prime_factor_candidates([]) == prime_factor_candidates([1]) == ()
-
-
 def _seeded_primes_below_minus_one(rng, count, bits):
     """(p, qs): primes p = -1 (mod prod qs), with (F-1)^2 > p, qs random primes."""
     found = []
@@ -337,7 +319,7 @@ def test_lucas_proves_seeded_primes():
     rng = random.Random(1103)
     for p, qs in _seeded_primes_below_minus_one(rng, 200, 36):
         # F holds each q at its full valuation in p+1, so F >= prod(qs) > sqrt(p)+1
-        assert lucas_n_plus_1(p, qs) is True, (p, qs)
+        assert arith._proof(p, -1, qs, 1) is True, (p, qs)
         expected = LUCAS_TAG if p >= DETERMINISTIC_PRIMALITY_BOUND else DETERMINISTIC_TAG
         assert prove_prime(p, qs) == expected
 
@@ -346,9 +328,9 @@ def test_lucas_needs_q_equal_two():
     # p + 1 = 3 * 2^94: F = 3 alone is far too small, so the proof rests on 2
     p = 3 * 2**94 - 1
     assert sympy.isprime(p) and p > DETERMINISTIC_PRIMALITY_BOUND
-    assert lucas_n_plus_1(p, [3]) is None
-    assert lucas_n_plus_1(p, [2, 3]) is True
-    assert lucas_n_plus_1(p, [2]) is True
+    assert arith._proof(p, -1, [3], 1) is None
+    assert arith._proof(p, -1, [2, 3], 1) is True
+    assert arith._proof(p, -1, [2], 1) is True
     assert prove_prime(p, [3, 2]) == LUCAS_TAG
 
 
@@ -362,7 +344,7 @@ def test_lucas_never_proves_seeded_composites():
         if n < 5 or sympy.isprime(n):
             continue
         seen += 1
-        assert lucas_n_plus_1(n, qs) is not True, (n, qs)
+        assert arith._proof(n, -1, qs, 1) is not True, (n, qs)
         assert prove_prime(n, qs) is None
 
 
@@ -382,8 +364,8 @@ def test_lucas_never_proves_semiprimes():
             s += f
         n = r * s
         assert (n + 1) % f == 0 and (f - 1) ** 2 > n
-        assert lucas_n_plus_1(n, qs) is not True
-        assert lucas_n_plus_1(n, _full_factor_list(n)) is not True
+        assert arith._proof(n, -1, qs, 1) is not True
+        assert arith._proof(n, -1, _full_factor_list(n), 1) is not True
         assert prove_prime(n, qs) is None
 
 
@@ -409,7 +391,7 @@ def test_lucas_never_proves_pseudoprimes_or_carmichael_numbers():
     for n in STRONG_BASE_2 + CARMICHAEL + PSI + tuple(chernick):
         assert not sympy.isprime(n)
         # with every prime factor of n+1, F = n+1 and (F-1)^2 > n always
-        assert lucas_n_plus_1(n, _full_factor_list(n)) is not True, n
+        assert arith._proof(n, -1, _full_factor_list(n), 1) is not True, n
         assert prove_prime(n, _full_factor_list(n)) is None
 
 
@@ -437,7 +419,7 @@ def test_lucas_never_proves_lucas_pseudoprimes():
     for n in LUCAS_V_PSEUDOPRIMES:
         assert not sympy.isprime(n) and sympy.jacobi_symbol(5, n) == -1
         assert _lucas_v_by_matrix(3, n + 1, n) == 2
-        assert lucas_n_plus_1(n, _full_factor_list(n)) is not True, n
+        assert arith._proof(n, -1, _full_factor_list(n), 1) is not True, n
 
 
 def test_lucas_does_not_apply_to_perfect_squares():
@@ -446,7 +428,7 @@ def test_lucas_does_not_apply_to_perfect_squares():
         r = sympy.randprime(5000, 2**32)  # above every D = P^2 - 4 tried
         n = r * r
         assert all(jacobi(p * p - 4, n) != -1 for p in range(3, 3 + arith.LUCAS_PARAMETERS))
-        assert lucas_n_plus_1(n, _full_factor_list(n)) is None
+        assert arith._proof(n, -1, _full_factor_list(n), 1) is None
         assert prove_prime(n, _full_factor_list(n)) is None
 
 
@@ -455,22 +437,23 @@ def test_lucas_ignores_composite_or_non_dividing_factors():
     for p, qs in _seeded_primes_below_minus_one(rng, 60, 40):
         f = math.prod(qs)
         # the same F offered as one composite "prime", or as composites of pairs
-        assert lucas_n_plus_1(p, [f] if not sympy.isprime(f) else []) is None
+        assert arith._proof(p, -1, [f] if not sympy.isprime(f) else [], 1) is None
         # primes that do not divide p+1 add nothing
         strangers = [q for q in sympy.primerange(2, 400) if (p + 1) % q]
-        assert lucas_n_plus_1(p, strangers) is None
+        assert arith._proof(p, -1, strangers, 1) is None
     # a composite n whose n+1 the composite "prime" covers is not proved either
     n = 341  # 11 * 31, n + 1 = 342 = 2 * 3^2 * 19
-    assert lucas_n_plus_1(n, [342]) is None
-    assert lucas_n_plus_1(n, [171, 2]) is None
+    assert arith._proof(n, -1, [342], 1) is None
+    assert arith._proof(n, -1, [171, 2], 1) is None
     # 8321 = 53 * 157 passes trial division and the first base, 2
     assert 8321 in STRONG_BASE_2 and not sympy.isprime(8321)
     p = next(p for p in (8321 * k - 1 for k in range(2, 8320, 2)) if sympy.isprime(p))
-    assert lucas_n_plus_1(p, [8321]) is None
+    assert arith._proof(p, -1, [8321], 1) is None
     # a prime above DETERMINISTIC_PRIMALITY_BOUND is not a usable factor
+    # beyond the depth cap, where it could get no nested proof
     big = next_prime(DETERMINISTIC_PRIMALITY_BOUND)
     p = next(p for p in (big * k - 1 for k in range(2, 10**4, 2)) if sympy.isprime(p))
-    assert lucas_n_plus_1(p, [big]) is None
+    assert arith._proof(p, -1, [big], arith.PROOF_DEPTH_LIMIT + 1) is None
 
 
 def _boundary_pair(rng):
@@ -494,8 +477,8 @@ def test_lucas_bound_on_both_sides():
     for _ in range(20):
         qs, f, n_hi, n_lo = _boundary_pair(rng)
         assert (f - 1) ** 2 > n_hi and (f - 1) ** 2 <= n_lo < f**2 < (f - 1) ** 3
-        assert lucas_n_plus_1(n_hi, qs) is True
-        assert lucas_n_plus_1(n_lo, qs) is True
+        assert arith._proof(n_hi, -1, qs, 1) is True
+        assert arith._proof(n_lo, -1, qs, 1) is True
         assert not arith._splits(n_lo, f, -1)
 
 
@@ -528,9 +511,6 @@ def test_cube_bound_on_both_sides(e):
         assert (f - 1) ** 2 <= below < (f - 1) ** 3 <= above
         assert arith._proof(below, e, qs, 1) is True
         assert arith._proof(above, e, qs, 1) is None
-        if e < 0:
-            assert lucas_n_plus_1(below, qs) is True
-            assert lucas_n_plus_1(above, qs) is None
 
 
 def _cube_range_semiprimes(rng, e, count):
@@ -569,8 +549,6 @@ def test_cube_form_never_proves_semiprimes(e, monkeypatch):
     for n, qs, _ in semiprimes:
         assert arith._splits(n, math.prod(qs), e), (n, qs)
         assert arith._proof(n, e, qs, 1) is not True, (n, qs)
-        if e < 0:
-            assert lucas_n_plus_1(n, qs) is not True
     monkeypatch.setattr(arith, "_order_conditions", lambda *args: True)
     for n, qs, _ in semiprimes:
         assert arith._proof(n, e, qs, 1) is False, (n, qs)
@@ -607,8 +585,8 @@ def test_small_prime_factors_against_sympy():
 
 
 def test_stage_2_tests_no_prime_below_the_search_limit(monkeypatch):
-    # the primes below SEARCH_PRIME_LIMIT come from the sieve and the product
-    # tree, so they enter F untested; only the cofactor c is tested
+    # the primes below SEARCH_PRIME_LIMIT come from gcds with products of
+    # known primes, so they enter F untested; only the cofactor c is tested
     rng = random.Random(1117)
     small = [2, 3, 5, 4099, 65521]
     c = sympy.randprime(2**40, 2**41)
@@ -641,6 +619,39 @@ def test_prove_prime_tags_on_both_sides_of_the_bound():
         assert proof == (DETERMINISTIC_TAG if p < bound else LUCAS_TAG)
         # is_prime agrees with every tag
         assert is_prime(p)
+
+
+def _prime_above_search_limit(rng):
+    return sympy.nextprime(arith.SEARCH_PRIME_LIMIT + rng.getrandbits(16))
+
+
+def test_prove_prime_keeps_a_prime_two_terms_share():
+    # terms (v*w, 2v) with w above SEARCH_PRIME_LIMIT: the first term's
+    # share of p+1 is the composite v*w, which leaves the second term no
+    # share, so only the second term's own cofactor v lifts F past sqrt(p)
+    rng = random.Random(1118)
+    w = _prime_above_search_limit(rng)
+    p = None
+    while p is None:
+        v = sympy.nextprime(2**69 + rng.getrandbits(69))
+        p = next((p for p in (2 * v * w * k - 1 for k in range(16, 64)) if sympy.isprime(p)), None)
+    assert p.bit_length() == 93 and (2 * v - 1) ** 2 > p > DETERMINISTIC_PRIMALITY_BOUND
+    assert prove_prime(p, (v * w, 2 * v)) == LUCAS_TAG
+
+
+def test_prove_prime_combines_shares_and_own_cofactors():
+    # terms (v*w, 2v, w*x), v and x of 40 bits, w above SEARCH_PRIME_LIMIT,
+    # and p + 1 = 2vwxk with k prime: the shares of p+1 in turn give x, the
+    # own cofactors give v, and F reaches the cube root of p only with both
+    rng = random.Random(1119)
+    w = _prime_above_search_limit(rng)
+    v, x = (sympy.nextprime(2**39 + rng.getrandbits(39)) for _ in range(2))
+    k = sympy.nextprime(2**42 + rng.getrandbits(42))
+    while not sympy.isprime(2 * v * w * x * k - 1):
+        k = sympy.nextprime(k)
+    p = 2 * v * w * x * k - 1
+    assert (2 * max(v, x)) ** 3 < p < (2 * v * x - 1) ** 2  # p has 140 bits
+    assert prove_prime(p, (v * w, 2 * v, w * x)) == LUCAS_TAG
 
 
 def test_next_proved_prime_in_ap_matches_next_prime_in_ap():
@@ -703,7 +714,7 @@ def test_proof_depth_cap(monkeypatch):
         return nested(c, depth)
 
     monkeypatch.setattr(arith, "_nested_proof", spy)
-    # p + 1 = 2h * c_1 is the only term: it hands stage 2 the cofactor c_1
+    # p + 1 = 2h * c_1 is the only term: it hands the proof the cofactor c_1
     rng = random.Random(1114)
     two, three = _nested_chain(rng, 2), _nested_chain(rng, 3)
     assert arith.PROOF_DEPTH_LIMIT == 2

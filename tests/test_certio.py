@@ -221,11 +221,10 @@ HOSTILE_BUDGET_S = 1.0
 
 
 def test_hostile_tail_is_decided_within_the_budget():
-    # a 540-bit p whose tail terms are products of two ~60-bit primes: stage 1
-    # finds no factor, the cube root stays out of reach, and stage 2 searches
-    # p+1 and fails every composite cofactor (p+1 keeps under 180 bits
-    # outside the tail, below the cube root of p), so p ends with the 64
-    # seeded rounds
+    # a 540-bit p whose tail terms are products of two ~60-bit primes: the
+    # proof searches p+1 for primes below 2^16 and fails every composite
+    # cofactor (p+1 keeps under 180 bits outside the tail, below the cube
+    # root of p), so p ends with the 64 seeded rounds
     rng = random.Random(1201)
     tail = sorted(
         sympy.randprime(2**59, 2**60) * sympy.randprime(2**60, 2**61) for _ in range(3)
