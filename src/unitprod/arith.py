@@ -39,7 +39,7 @@ _BASE_COUNTS = (
 )
 DEFAULT_MILLER_RABIN_ROUNDS = 64
 
-# primality tags stored in certificates
+# the tags prove_prime returns
 DETERMINISTIC_TAG = "miller-rabin-deterministic"
 PROBABILISTIC_TAG = f"miller-rabin-probabilistic-{DEFAULT_MILLER_RABIN_ROUNDS}"
 LUCAS_TAG = "lucas-n-plus-1"
@@ -218,13 +218,6 @@ def _first_test_passes(n: int) -> bool:
         if n % p == 0:
             return n == p
     return next(_strong_tests(n))
-
-
-def primality_method(n: int) -> str:
-    """Tag recording how is_prime decides n (stored in certificates)."""
-    if n < DETERMINISTIC_PRIMALITY_BOUND:
-        return DETERMINISTIC_TAG
-    return PROBABILISTIC_TAG
 
 
 def jacobi(a: int, n: int) -> int:

@@ -6,18 +6,17 @@ decimal integer or an exact num/den fraction, so parse(serialize(c)) == c
 bit for bit. The parser accepts the fields in any order, rejects missing,
 unknown or duplicate keys, and accepts only the canonical encoding: every
 field must read exactly as the writer would write the parsed document, so
-lines derived from other fields (errors, max-error, primality, a poly
-certificate's values) are checked at parse time. Poly certificates embed
-their inner point certificate as a two-space indented block after an
-"inner:" line.
+the two lines derived from other fields (max-error, a poly certificate's
+root-precision) are checked at parse time. Poly certificates embed their
+inner point certificate as a two-space indented block after an "inner:"
+line.
 
-The primality line names the test that shows p prime, re-run by the
-checker: "miller-rabin-deterministic" below DETERMINISTIC_PRIMALITY_BOUND;
-above it "lucas-n-plus-1", an N+1 proof from prime factors of p+1 (every
-prime below 2^16 of p+1, and the cofactors these leave in the chain's tail
-terms, each proved prime, by a nested N-1 or N+1 proof above the bound), in
-the square or the cube-root form; or "miller-rabin-probabilistic-64" where
-no such proof applies. Version 2 added the "lucas-n-plus-1" tag. Version 3
+Up to version 5 a document also stored its errors, a poly certificate its
+values and their errors, and a point certificate a primality line naming
+the test that shows p prime: "miller-rabin-deterministic" below
+DETERMINISTIC_PRIMALITY_BOUND; above it "lucas-n-plus-1", an N+1 proof from
+prime factors of p+1, or "miller-rabin-probabilistic-64" where no such
+proof applies. Version 2 added the "lucas-n-plus-1" tag. Version 3
 widened the proof, so some documents that derived
 "miller-rabin-probabilistic-64" now derive "lucas-n-plus-1". Version 4
 widened a poly certificate's root precision and inner eps from eps/2^(d+2)
@@ -26,7 +25,9 @@ its witness changed. Version 5 collects the proof's factors in one
 procedure, which offers each tail term's own cofactor beside its share of
 p+1; F can now combine factors that the two stages of version 4 found
 apart, so some documents that derived "miller-rabin-probabilistic-64" now
-derive "lucas-n-plus-1". The parser rejects versions 1 to 4.
+derive "lucas-n-plus-1". Version 6 drops the errors, values and
+primality lines: the checker recomputes all three, and proves p after every
+other claim holds. The parser rejects versions 1 to 5.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .lab import DiscrepancyReport
 from .lift import Certificate, WitnessPoint
 from .poly import MonicPolynomial, PolyCertificate
 
-CERTIFICATE_VERSION = 5
+CERTIFICATE_VERSION = 6
 
 # How one field's value is written (show) and read back (read).
 Codec = namedtuple("Codec", "show read")
@@ -86,7 +87,6 @@ POINT = DocumentKind(
         ("version", INT, lambda _: CERTIFICATE_VERSION),
         ("kind", TEXT, lambda _: POINT.name),
         ("mode", TEXT, attrgetter("mode")),
-        ("primality", TEXT, attrgetter("primality_method")),
         ("target", FRAC_LIST, attrgetter("target.coords")),
         ("eps", FRAC, attrgetter("eps")),
         ("chain", INT_LIST, attrgetter("chain.a")),
@@ -95,7 +95,6 @@ POINT = DocumentKind(
         ("prime-floor", INT, attrgetter("prime_floor")),
         ("p", INT, attrgetter("witness.p")),
         ("witness", INT_LIST, attrgetter("witness.x")),
-        ("errors", FRAC_LIST, attrgetter("errors")),
         ("max-error", FRAC, attrgetter("max_error")),
     ),
     lambda v: Certificate(
@@ -117,8 +116,6 @@ POLY = DocumentKind(
         ("eps", FRAC, attrgetter("eps")),
         ("root-precision", FRAC, attrgetter("root_precision")),
         ("root-targets", FRAC_LIST, attrgetter("root_targets.coords")),
-        ("values", FRAC_LIST, attrgetter("values")),
-        ("errors", FRAC_LIST, attrgetter("errors")),
     ),
     lambda v: PolyCertificate(
         MonicPolynomial(v["degree"], v["coeffs"]), TargetPoint(v["alphas"]), v["eps"],
@@ -154,9 +151,8 @@ def _write(kind: DocumentKind, obj, indent: str = "") -> str:
         try:
             lines.append(f"{indent}{key}: {codec.show(get(obj))}\n")
         except ValueError:  # str() of an integer past CPython's digit limit
-            where = f" at degree {obj.f.degree}" if kind is POLY else ""
             raise InputTooLarge(
-                f"{kind.name} field {key}{where} holds an integer beyond the "
+                f"{kind.name} field {key} holds an integer beyond the "
                 f"{sys.get_int_max_str_digits()}-digit int/str conversion limit"
             ) from None
     return "".join(lines)
@@ -199,29 +195,13 @@ def _split_block(lines: list) -> tuple[dict, list | None]:
     return fields, inner
 
 
-# Proving p is the costliest derivation, so parse_document compares the
-# primality lines after every other line, the inner block's included: a
-# document that disagrees anywhere else is rejected without proving p.
-_PROVED_LAST = "primality"
-
-
-def _check(key: str, codec: Codec, decoded: Any, derived: Any, raw: str) -> None:
-    # compare values first, so a disagreeing derived line is rejected without
-    # writing out the derived value (past CPython's int/str digit limit on a
-    # hostile degree)
-    if decoded != derived or codec.show(decoded) != raw:
-        shown = raw if len(raw) <= 40 else raw[:37] + "..."
-        raise CertificateFormatError(
-            f"field {key}: {shown!r} is not canonical or disagrees with the other fields"
-        )
-
-
-def _read(kind: DocumentKind, fields: dict, deferred: list, inner: Certificate | None = None) -> Any:
+def _read(kind: DocumentKind, fields: dict, inner: Certificate | None = None) -> Any:
     """Decode every row of `kind` from the raw fields, build the object, and
     require each raw field to read exactly as the object writes it, which
     rejects both a non-canonical encoding and a derived line that disagrees
-    with the rest of the document. The primality row's check is appended to
-    `deferred` instead."""
+    with the rest of the document."""
+    if fields.get("version") != str(CERTIFICATE_VERSION):
+        raise CertificateFormatError(f"unsupported version: {fields.get('version')}")
     values: dict[str, Any] = {"inner": inner}
     unknown = fields.keys() - {key for key, _, _ in kind.fields}
     if unknown:
@@ -235,18 +215,18 @@ def _read(kind: DocumentKind, fields: dict, deferred: list, inner: Certificate |
             values[key] = codec.read(fields[key])
         except (ValueError, ZeroDivisionError):
             raise CertificateFormatError(f"field {key}: bad value {fields[key]!r}") from None
-    if values["version"] != CERTIFICATE_VERSION:
-        raise CertificateFormatError(f"unsupported version: {fields['version']}")
     try:
         obj = kind.build(values)
     except ValueError as exc:
         raise CertificateFormatError(str(exc)) from None
     for key, codec, get in kind.fields:
-        decoded = values.pop(key)  # each decoded copy is dropped once checked
-        if key == _PROVED_LAST:
-            deferred.append((key, codec, decoded, get, obj, fields[key]))
-        else:
-            _check(key, codec, decoded, get(obj), fields[key])
+        # each decoded copy is dropped once checked
+        decoded, raw = values.pop(key), fields[key]
+        if decoded != get(obj) or codec.show(decoded) != raw:
+            shown = raw if len(raw) <= 40 else raw[:37] + "..."
+            raise CertificateFormatError(
+                f"field {key}: {shown!r} is not canonical or disagrees with the other fields"
+            )
     return obj
 
 
@@ -260,7 +240,6 @@ def parse_document(text: str):
     kind = _KINDS.get(fields.get("kind"))
     if kind is None:
         raise CertificateFormatError(f"missing or unknown kind: {fields.get('kind')!r}")
-    deferred: list = []
     inner = None
     if kind is POLY:
         if inner_lines is None:
@@ -270,13 +249,10 @@ def parse_document(text: str):
             raise CertificateFormatError("unexpected nested inner block")
         if inner_fields.get("kind") != POINT.name:
             raise CertificateFormatError("inner block is not a point certificate")
-        inner = _read(POINT, inner_fields, deferred)
+        inner = _read(POINT, inner_fields)
     elif inner_lines is not None:
         raise CertificateFormatError(f"{kind.name} with an inner block")
-    document = _read(kind, fields, deferred, inner)
-    for key, codec, decoded, get, obj, raw in deferred:
-        _check(key, codec, decoded, get(obj), raw)
-    return document
+    return _read(kind, fields, inner)
 
 
 def parse_certificate(text: str):

@@ -87,7 +87,7 @@ def _cmd_approx(args: argparse.Namespace) -> int:
     hints = [f"point: {certio.FRAC_LIST.show(cert.witness.point)}"]
     if cert.target.n == 2:
         hints.append("note: dimension 2 sits outside the main density statement")
-    hints.append(_approx_hint("max-error", cert.max_error))
+    hints += [_approx_hint("max-error", cert.max_error), f"primality: {cert.prime_proof}"]
     _emit(document, hints, args.format)
     _write_out(document, args.out)
     return EXIT_OK
@@ -137,7 +137,8 @@ def _cmd_poly(args: argparse.Namespace) -> int:
     f = MonicPolynomial(args.degree, args.coeffs)
     cert = approximate_polynomial(f, args.target, args.eps, BuilderConfig(args.mode))
     document = certio.serialize_poly_certificate(cert)
-    _emit(document, [_approx_hint("max-error", max(cert.errors))], args.format)
+    hints = [_approx_hint("max-error", max(cert.errors)), f"primality: {cert.inner.prime_proof}"]
+    _emit(document, hints, args.format)
     _write_out(document, args.out)
     return EXIT_OK
 

@@ -24,7 +24,6 @@ from .arith import (
     crt,
     mod_inverse,
     next_proved_prime_in_ap,
-    primality_method,
     prove_prime,
 )
 from .chain import (
@@ -103,12 +102,6 @@ class Certificate:
         the chain (p = -1 mod a2*...*an), whose terms divide p+1.
         """
         return prove_prime(self.witness.p, self.chain.a[2:])
-
-    @property
-    def primality_method(self) -> str:
-        """The primality tag: prime_proof's, or for a composite p the tag of
-        the Miller-Rabin test that p's size calls for."""
-        return self.prime_proof or primality_method(self.witness.p)
 
 
 def dirichlet_residue(chain: Chain) -> CongruenceClass:
@@ -191,7 +184,8 @@ def approximate(
 
 def check_certificate(cert: Certificate) -> str | None:
     """Recompute every claim from (target, eps, chain, p) alone; None when
-    all hold, else a short reason code for the first failure."""
+    all hold, else a short reason code for the first failure. Proving p is
+    the costliest check, so it runs last."""
     if cert.mode not in MODES:
         return "mode-unknown"
     n = cert.target.n
@@ -208,8 +202,6 @@ def check_certificate(cert: Certificate) -> str | None:
     p = cert.witness.p
     if p < cert.prime_floor:
         return "prime-below-floor"
-    if cert.prime_proof is None:
-        return "p-not-prime"
     if not cert.congruence.contains(p):
         return "p-not-in-class"
     try:
@@ -220,6 +212,8 @@ def check_certificate(cert: Certificate) -> str | None:
         return "witness-mismatch"
     if cert.max_error >= cert.eps:
         return "max-error-exceeds-eps"
+    if cert.prime_proof is None:
+        return "p-not-prime"
     return None
 
 

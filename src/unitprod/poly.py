@@ -170,14 +170,12 @@ def check_poly_certificate(cert: PolyCertificate) -> str | None:
         return "inner-target-mismatch"
     if cert.inner.eps != _inner_eps(cert.eps, d):
         return "inner-eps-mismatch"
-    reason = check_certificate(cert.inner)
-    if reason is not None:
-        return f"inner-{reason}"
     if cert.inner.witness.p < _prime_floor(cert.f, cert.eps):
         return "prime-floor-too-low"
     if max(cert.errors) >= cert.eps:
         return "error-exceeds-eps"
-    return None
+    reason = check_certificate(cert.inner)  # proves p last
+    return None if reason is None else f"inner-{reason}"
 
 
 def verify_poly_certificate(cert: PolyCertificate) -> bool:

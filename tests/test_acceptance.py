@@ -186,7 +186,9 @@ def test_criterion_3_coprime_search_oracle():
 # ------------------------------------------------------------------ criterion 4
 
 def _numpy_gap_oracle(b):
-    values = np.arange(1, 2 * b + 1, dtype=np.int64)
+    # one period plus one: 1 and b + 1 are both coprime to b, so the gaps
+    # over [1, b + 1] are every gap of the periodic pattern
+    values = np.arange(1, b + 2, dtype=np.int64)
     coprime = np.flatnonzero(np.gcd(values, b) == 1)
     if coprime.size <= 1:
         return 1

@@ -20,7 +20,6 @@ from unitprod.arith import (
     next_prime,
     next_prime_in_ap,
     next_proved_prime_in_ap,
-    primality_method,
     prove_prime,
     strict_ceil,
     strict_floor,
@@ -162,8 +161,7 @@ def test_is_prime_large():
     assert mersenne_89 > DETERMINISTIC_PRIMALITY_BOUND
     assert is_prime(mersenne_89)
     assert not is_prime(mersenne_89 * 1000003)
-    assert primality_method(mersenne_89) == "miller-rabin-probabilistic-64"
-    assert primality_method(29) == "miller-rabin-deterministic"
+    assert prove_prime(29) == "miller-rabin-deterministic"
 
 
 # psi_k, the least strong pseudoprime to all of the first k prime bases, for
@@ -223,15 +221,6 @@ def test_is_prime_around_each_psi():
         for n in range(psi - 40, psi + 41):
             if n < DETERMINISTIC_PRIMALITY_BOUND and n not in PSI:
                 assert is_prime(n) == _full_13_base_test(n), n
-        if psi < DETERMINISTIC_PRIMALITY_BOUND:
-            assert {primality_method(n) for n in (psi - 1, psi, psi + 1)} == {
-                "miller-rabin-deterministic"
-            }
-    bound = DETERMINISTIC_PRIMALITY_BOUND
-    assert primality_method(bound - 1) == "miller-rabin-deterministic"
-    assert primality_method(bound) == primality_method(bound + 1) == (
-        "miller-rabin-probabilistic-64"
-    )
 
 
 def test_is_prime_matches_full_base_set():

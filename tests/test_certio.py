@@ -1,11 +1,16 @@
+import contextlib
 import dataclasses
+import io
 import random
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unitprod.certio import (
     CERTIFICATE_VERSION,
@@ -18,13 +23,14 @@ from unitprod.certio import (
 from unitprod.arith import PROBABILISTIC_TAG
 from unitprod.chain import Chain, TargetPoint
 from unitprod.errors import CertificateFormatError, InputTooLarge
-from unitprod import lift
+from unitprod import cli, lift
 from unitprod.lab import box_discrepancy
 from unitprod.lift import WitnessPoint, approximate, check_certificate, verify_certificate
 from unitprod.poly import (
     MonicPolynomial,
     PolyCertificate,
     approximate_polynomial,
+    check_poly_certificate,
     verify_poly_certificate,
 )
 
@@ -89,7 +95,8 @@ def test_parse_rejects_malformed(point_cert):
         parse_document(document.replace("point-certificate", "mystery"))
     with pytest.raises(CertificateFormatError):
         parse_document(document.replace(f"version: {CERTIFICATE_VERSION}", "version: 99"))
-    # 3 changed the primality tag some documents derive, 4 the poly budget
+    # 3 and 5 changed the primality tag some documents derive, 4 the poly
+    # budget, 6 dropped the errors, values and primality lines
     for older in range(1, CERTIFICATE_VERSION):
         with pytest.raises(CertificateFormatError, match="unsupported version"):
             parse_document(document.replace(f"version: {CERTIFICATE_VERSION}", f"version: {older}"))
@@ -107,42 +114,59 @@ def test_parse_rejects_malformed(point_cert):
 
 
 def test_parsed_tampering_is_caught(point_cert):
-    # the errors line no longer matches the witness
+    # the max-error line no longer matches the witness
     document = serialize_certificate(point_cert)
-    with pytest.raises(CertificateFormatError, match="field errors"):
-        parse_document(document.replace("witness: 17,20,18", "witness: 17,21,18"))
+    with pytest.raises(CertificateFormatError, match="field max-error"):
+        parse_document(document.replace("witness: 17,20,18", "witness: 18,20,18"))
+
+
+def _verdict(document: str) -> str | None:
+    """The parser's message or the checker's reason code; None when valid."""
+    try:
+        parsed = parse_document(document)
+    except CertificateFormatError as exc:
+        return str(exc)
+    if isinstance(parsed, lift.Certificate):
+        return check_certificate(parsed)
+    return check_poly_certificate(parsed)
 
 
 def test_disagreeing_lines_are_rejected_before_p_is_proved(point_cert, poly_cert, monkeypatch):
-    # the primality line is compared last, so a document that disagrees
-    # anywhere else, inner block included, never pays for proving p
+    # the checker proves p last, so a document that fails any other check,
+    # at the parser or in the checker, inner block included, never pays for
+    # proving p
     point = serialize_certificate(point_cert)
     poly = serialize_poly_certificate(poly_cert)
-    assert "\ncoeffs: 1,0\n" in poly
 
     def refuse(*args):
         raise AssertionError("p was proved before the document was rejected")
 
     monkeypatch.setattr(lift, "prove_prime", refuse)
-    with pytest.raises(CertificateFormatError, match="field errors"):
-        parse_document(point.replace("witness: 17,20,18", "witness: 17,21,18"))
-    with pytest.raises(CertificateFormatError, match="field errors"):
-        parse_document(point.replace("p: 29", "p: 31"))
-    with pytest.raises(CertificateFormatError, match="field values"):
-        parse_document(poly.replace("\ncoeffs: 1,0\n", "\ncoeffs: 2,0\n"))
-    with pytest.raises(AssertionError):
-        parse_document(point)
+    edits = [
+        (point, "witness: 17,20,18", "witness: 17,21,18", "witness-mismatch"),
+        (point, "p: 29", "p: 31", "field max-error"),
+        (point, "eps: 1/5", "eps: 1/100", "prime-floor-below-error-bound"),
+        # coefficients up to 41538 keep this witness a valid certificate
+        (poly, "\ncoeffs: 1,0\n", "\ncoeffs: 100000,0\n", "prime-floor-too-low"),
+        (poly, "\neps: 1/10\n", "\neps: 1/20\n", "field root-precision"),
+    ]
+    for document, old, new, rejection in edits:
+        assert old in document
+        assert _verdict(document.replace(old, new)).startswith(rejection), new
+    for document in (point, poly):
+        with pytest.raises(AssertionError, match="p was proved"):
+            _verdict(document)
 
 
 def test_consistent_witness_edit_fails_the_relift(point_cert):
-    # witness and errors edited together parse; the checker's relift at p
-    # then exposes the witness
+    # a witness edit that keeps the largest error parses; the checker's
+    # relift at p then exposes the witness
     edited = dataclasses.replace(point_cert, witness=WitnessPoint(29, (17, 21, 18)))
     document = serialize_certificate(edited)
     original = serialize_certificate(point_cert).splitlines()
     changed = [line.partition(":")[0] for line, old in zip(document.splitlines(), original)
                if line != old]
-    assert changed == ["witness", "errors"]
+    assert changed == ["witness"]
     assert check_certificate(parse_document(document)) == "witness-mismatch"
 
 
@@ -200,19 +224,24 @@ def test_parse_rejects_non_canonical_encodings(point_cert, canonical, variant):
 
 
 def test_poly_values_past_the_digit_limit_raise_input_too_large(point_cert):
-    # f(x)/p^90 at a 200-bit p has denominators of ~5400 decimal digits
+    # a library caller may build a certificate whose stored integers have
+    # more decimal digits than CPython converts to text
     limit = sys.get_int_max_str_digits()
-    assert 0 < limit < 90 * 200 * 0.30103
-    inner = dataclasses.replace(point_cert, witness=WitnessPoint(2**200 + 1, (1, 1, 1)))
-    cert = PolyCertificate(
-        MonicPolynomial(90, (0,) * 90), TARGET, Fraction(1, 10), TARGET, inner
+    huge = 10**limit + 1
+    assert limit > 0
+    poly = PolyCertificate(
+        MonicPolynomial(2, (huge, 0)), TARGET, Fraction(1, 10), TARGET, point_cert
     )
-    with pytest.raises(InputTooLarge) as caught:
-        serialize_poly_certificate(cert)
-    message = str(caught.value)
-    assert "field values" in message
-    assert "degree 90" in message
-    assert f"{limit}-digit" in message
+    point = dataclasses.replace(point_cert, witness=WitnessPoint(huge, (1, 1, 1)))
+    for serialize, cert, field in (
+        (serialize_poly_certificate, poly, "poly-certificate field coeffs"),
+        (serialize_certificate, point, "point-certificate field p"),
+    ):
+        with pytest.raises(InputTooLarge) as caught:
+            serialize(cert)
+        message = str(caught.value)
+        assert field in message
+        assert f"{limit}-digit" in message
     assert sys.get_int_max_str_digits() == limit  # the interpreter-wide limit is untouched
 
 
@@ -243,8 +272,58 @@ def test_hostile_tail_is_decided_within_the_budget():
                             lift.lift_chain(chain, p), "search")
     document = serialize_certificate(cert)
     assert f"version: {CERTIFICATE_VERSION}\n" in document
-    assert f"primality: {PROBABILISTIC_TAG}\n" in document
     started = time.perf_counter()
     parsed = parse_document(document)
     assert check_certificate(parsed) is None
     assert time.perf_counter() - started < HOSTILE_BUDGET_S
+    assert parsed.prime_proof == PROBABILISTIC_TAG
+
+
+GOLDEN = {
+    path.name: path.read_text(encoding="utf-8")
+    for path in sorted((Path(__file__).parent / "data" / "golden").glob("*.cert"))
+}
+
+# bounded values of each kind a line holds: integers, fractions, integer
+# lists and short printable text
+_TOKENS = st.one_of(
+    st.integers(-(10**40), 10**40).map(str),
+    st.tuples(st.integers(-(10**12), 10**12), st.integers(-(10**12), 10**12)).map(
+        lambda pair: f"{pair[0]}/{pair[1]}"
+    ),
+    st.lists(st.integers(-5, 10**12), min_size=1, max_size=9).map(
+        lambda values: ",".join(map(str, values))
+    ),
+    st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=24),
+)
+
+
+@st.composite
+def _mutants(draw) -> str:
+    """A golden document with one line's value replaced by a token, or one
+    line dropped or duplicated."""
+    lines = GOLDEN[draw(st.sampled_from(sorted(GOLDEN)))].splitlines()
+    i = draw(st.sampled_from(range(len(lines))))
+    action = draw(st.sampled_from(("replace", "drop", "duplicate")))
+    if action == "replace":
+        lines[i] = f"{lines[i].partition(': ')[0]}: {draw(_TOKENS)}"
+    elif action == "drop":
+        del lines[i]
+    else:
+        lines.insert(i, lines[i])
+    return "".join(line + "\n" for line in lines)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(document=_mutants())
+def test_golden_mutants_get_a_verdict_within_the_budget(tmp_path_factory, document):
+    path = tmp_path_factory.getbasetemp() / "mutant.cert"
+    path.write_text(document, encoding="utf-8")
+    out = io.StringIO()
+    started = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["verify", "--cert", str(path)])
+    assert time.perf_counter() - started < HOSTILE_BUDGET_S
+    assert (code, out.getvalue()) == (0, "valid\n") or (
+        code == 1 and out.getvalue().startswith("invalid certificate: ")
+    ), (code, out.getvalue())

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 
 import unitprod
 from unitprod.cli import build_parser, main
+from test_certio import HOSTILE_BUDGET_S
 
 
 def run(capsys, *argv):
@@ -229,10 +231,10 @@ def test_usage_errors_exit_two(capsys):
         ("eps: 1/5", "eps: 2/10"),
         ("congruence-residue: 29", "congruence-residue: 59"),
         ("witness: 17,20,18", "witness: +17, 20,018"),
-        ("primality: miller-rabin-deterministic", "primality: pratt-proof"),
+        ("mode: search", "primality: miller-rabin-deterministic"),  # a version-5 line
         ("mode: search", "mode: anything goes"),
         ("max-error: 5/58", "max-error: 1/1000"),
-        ("errors: 5/58,2/87,3/145", "errors: 0/1,2/87,3/145"),
+        ("witness: 17,20,18", "witness: 17,21,18"),  # same max-error, fails the relift
         ("p: 29", "p: 0"),
         ("p: 29", "p: -29"),
         ("witness: 17,20,18", "witness: 17,20"),
@@ -252,7 +254,7 @@ def test_verify_rejects_edited_fields(tmp_path, capsys, canonical, variant):
 @pytest.mark.parametrize(
     "key, value",
     [
-        ("values", "1/2,1/2,1/2"),
+        ("coeffs", "100000,0"),  # p falls below the poly's prime floor
         ("root-precision", "1/100"),
         ("  max-error", "1/1000"),  # the inner certificate's
     ],
@@ -281,8 +283,9 @@ def test_text_format_is_document_plus_hints(capsys):
     assert text.startswith(document)
     document_keys = {line.partition(": ")[0] for line in document.splitlines()}
     hint_keys = [line.partition(": ")[0] for line in text[len(document):].splitlines()]
-    assert hint_keys == ["point", "note", "max-error-approx"]
+    assert hint_keys == ["point", "note", "max-error-approx", "primality"]
     assert not document_keys & set(hint_keys)
+    assert text.endswith("primality: miller-rabin-deterministic\n")
 
 
 # ---------------------------------------------------------------- one process, many calls
@@ -336,7 +339,8 @@ def test_verify_verdicts_hold_without_asserts(tmp_path):
     assert fresh_process("verify", "--cert", str(golden), flags=("-O",)) == (0, "valid\n")
     code, out = fresh_process("verify", "--cert", str(tampered), flags=("-O",))
     assert code == 1 and out.startswith("invalid certificate: ")
-    # a prime below 2 and a witness shorter than the target end at the parser
+    # a prime below 2 ends at the parser, a witness shorter than the target
+    # (same largest error) at the checker's dimension check
     for line in ("p: 0\n", "p: -7\n", "witness: 15227750,24880830\n"):
         key = line.partition(":")[0]
         edited = [line if old.startswith(key + ": ") else old
@@ -347,11 +351,12 @@ def test_verify_verdicts_hold_without_asserts(tmp_path):
 
 
 def test_verify_rejects_a_claimed_degree_past_the_digit_limit(tmp_path, capsys):
-    # at degree 2000 the derived values f(x)/p^d are too long to write as
-    # decimals; the short values line must be rejected, not end in exit 3
+    # at degree 2000 the values f(x)/p^d are too long to write as decimals;
+    # the checker never writes them, and rejects the degree-1 root targets
+    # without ending in exit 3
     golden = Path(__file__).parent / "data" / "golden" / "poly-d1.cert"
     degree = 2000
-    precision = Fraction(1, 10) / (4 * degree)  # agrees, so parsing reaches values
+    precision = Fraction(1, 10) / (4 * degree)  # agrees, so the document parses
     replace = {
         "degree": str(degree),
         "coeffs": ",".join(["3"] + ["0"] * (degree - 1)),
@@ -364,7 +369,10 @@ def test_verify_rejects_a_claimed_degree_past_the_digit_limit(tmp_path, capsys):
         f"{key}: {replace[key]}\n" if key in replace else line + "\n"
         for line in lines for key in [line.partition(": ")[0]]
     ))
-    code, out, _ = run(capsys, "verify", "--cert", str(hostile))
-    assert code == 1 and out.startswith("invalid certificate: field values: ")
-    code, out = fresh_process("verify", "--cert", str(hostile), flags=("-O",))
-    assert code == 1 and out.startswith("invalid certificate: field values: ")
+    expected = (1, "invalid certificate: root-targets-mismatch\n")
+    started = time.perf_counter()
+    assert run(capsys, "verify", "--cert", str(hostile))[:2] == expected
+    assert time.perf_counter() - started < HOSTILE_BUDGET_S
+    started = time.perf_counter()
+    assert fresh_process("verify", "--cert", str(hostile), flags=("-O",)) == expected
+    assert time.perf_counter() - started < HOSTILE_BUDGET_S

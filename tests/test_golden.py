@@ -84,7 +84,7 @@ def test_corpus_covers_each_proof_form(name, form, monkeypatch):
         arith, "_nested_proof", lambda *args: nested(*args) and not seen.append("nested")
     )
     document = parse_document((GOLDEN / name).read_text(encoding="utf-8"))
-    fallback = document.primality_method == arith.PROBABILISTIC_TAG
+    fallback = document.prime_proof == arith.PROBABILISTIC_TAG
     assert (form == "fallback") == fallback
     assert (form in seen) or fallback
 

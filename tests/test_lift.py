@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from unitprod.arith import DETERMINISTIC_PRIMALITY_BOUND, CongruenceClass, is_prime
+from unitprod.arith import CongruenceClass, is_prime
 from unitprod.chain import Chain, TargetPoint
 from unitprod import lift
 from unitprod.certio import parse_document, serialize_certificate
@@ -166,7 +166,7 @@ def test_approximate_worked_example():
     assert cert.errors == (Fraction(5, 58), Fraction(2, 87), Fraction(3, 145))
     assert cert.max_error == Fraction(5, 58)
     assert cert.max_error < Fraction(1, 5)
-    assert cert.primality_method == "miller-rabin-deterministic"
+    assert cert.prime_proof == "miller-rabin-deterministic"
     assert verify_certificate(cert)
 
 
@@ -246,16 +246,17 @@ def test_verify_detects_tampering():
 
 
 def test_verify_checks_primality_tag():
-    # the tag is derived from p, so an edited primality line fails to parse
+    # the tag is derived from p and stored nowhere: a primality line fails to
+    # parse, and a composite p in the class that passes every other check
+    # fails the proof the checker runs last
     cert = approximate(TARGET, Fraction(1, 5))
-    assert cert.primality_method == "miller-rabin-deterministic"
-    large = dataclasses.replace(
-        cert, witness=WitnessPoint(DETERMINISTIC_PRIMALITY_BOUND + 2, (1, 1, 1))
-    )
-    assert large.primality_method == "miller-rabin-probabilistic-64"
+    assert cert.prime_proof == "miller-rabin-deterministic"
     document = serialize_certificate(cert)
-    with pytest.raises(CertificateFormatError, match="field primality"):
-        parse_document(document.replace("miller-rabin-deterministic", "pratt-proof"))
+    with pytest.raises(CertificateFormatError, match="unexpected fields.*primality"):
+        parse_document(document + "primality: miller-rabin-deterministic\n")
+    composite = dataclasses.replace(cert, witness=lift_chain(cert.chain, 7 * 17))
+    assert composite.prime_proof is None
+    assert check_certificate(composite) == "p-not-prime"
 
 
 def test_verify_checks_mode_tag():
