@@ -608,8 +608,9 @@ def jacobsthal(b: int) -> int:
 
     Equivalently: the least window length w such that every w consecutive
     integers contain one coprime to b (and some window of length w-1 does
-    not). Exact, by marking two periods of the coprimality pattern; every
-    wraparound gap appears in full inside [1, 2b].
+    not). Exact, by marking one period plus one of the coprimality pattern:
+    1 and b+1 are coprime to b, so every gap between consecutive coprimes
+    lies inside [1, b+1].
 
     >>> jacobsthal(30)
     6
@@ -620,20 +621,19 @@ def jacobsthal(b: int) -> int:
         raise InputTooLarge(f"exact scan restricted to b <= {JACOBSTHAL_SCAN_LIMIT}")
     if b == 1:
         return 1
-    span = 2 * b
+    span = b + 1
     mask = bytearray(b"\x01") * span  # mask[i] == 1  <=>  i + 1 coprime to b
     for q, _ in factorize(b).prime_powers:
         count = (span - q) // q + 1
         mask[q - 1 :: q] = b"\x00" * count
-    blob = bytes(mask)
     # Longest zero run, via C-level substring probes: doubling then bisection.
     lo, hi = 0, 1
-    while hi <= span and b"\x00" * hi in blob:
+    while hi <= span and b"\x00" * hi in mask:
         lo, hi = hi, hi * 2
     hi = min(hi, span + 1)
     while lo + 1 < hi:
         mid = (lo + hi) // 2
-        if b"\x00" * mid in blob:
+        if b"\x00" * mid in mask:
             lo = mid
         else:
             hi = mid

@@ -1,14 +1,21 @@
 from fractions import Fraction
 from functools import cache
 from itertools import permutations, product
+from math import prod
 
 import pytest
+import sympy
 
 import unitprod.lab as lab
 from unitprod.chain import TargetPoint
 from unitprod.cli import main
 from unitprod.errors import BudgetExceeded
-from unitprod.lab import box_discrepancy, enumerate_points, nearest_point_distance
+from unitprod.lab import (
+    DiscrepancyReport,
+    box_discrepancy,
+    enumerate_points,
+    nearest_point_distance,
+)
 
 PRIMES_TO_31 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
@@ -176,10 +183,77 @@ def test_nearest_point_matches_brute_force(p, n):
     assert nearest_point_distance(p, n, hit) == 0
 
 
+# ---------------------------------------------------------------- the walk
+
+def walk_report(p, n, k):
+    """The box counts of a walk that visits every point and drops it into its
+    box: the reference each box_discrepancy report must equal."""
+    inv = lab._inverses(p)
+    box = [v * k // p for v in range(p)]
+    counts = [0] * k**n
+    if n == 2:
+        for v in range(1, p):
+            counts[box[v] * k + box[inv[v]]] += 1
+    else:
+        row = [j * k for j in box]
+        last_box = [box[u] for u in inv]
+        for prefix in product(range(1, p), repeat=n - 2):
+            acc = prod(prefix) % p
+            base = 0
+            for v in prefix:
+                base = base * k + box[v]
+            base *= k * k
+            for v in range(1, p):
+                counts[base + row[v] + last_box[acc * v % p]] += 1
+    total, cells = (p - 1) ** (n - 1), k**n
+    deviations = [abs(c * cells - total) for c in counts]
+    return DiscrepancyReport(
+        p=p,
+        n=n,
+        k=k,
+        total=total,
+        counts=tuple(counts),
+        sup_deviation=Fraction(max(deviations), total * cells),
+        mean_abs_deviation=Fraction(sum(deviations), total * cells * cells),
+    )
+
+
+GRID_K = (1, 2, 3, 4, 5, 8, 16)
+
+
+def walk_grid():
+    """(p, n, k): every prime below 400 at n = 2, below 120 at n = 3 and up
+    to 31 at n = 4, 5, with k in GRID_K plus a k > p - 1 (empty boxes) and,
+    at n = 2, k = 300 > 256. Cases past 2 * 10^5 boxes are left out for time."""
+    limits = {2: 400, 3: 120, 4: 32, 5: 32}
+    for n, limit in limits.items():
+        for p in sympy.primerange(2, limit):
+            ks = GRID_K + (p + 1,) + ((300,) if n == 2 else ())
+            yield from ((p, n, k) for k in ks if k**n <= 2 * 10**5)
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+def test_box_counts_match_the_walk(n):
+    cases = [case for case in walk_grid() if case[1] == n]
+    assert any(k > p - 1 for p, _, k in cases)
+    for p, n, k in cases:
+        assert box_discrepancy(p, n, k) == walk_report(p, n, k), (p, n, k)
+
+
+@pytest.mark.parametrize("p, n, k", [(10007, 2, 8), (1009, 3, 4)])
+def test_box_counts_match_the_walk_at_lab_sizes(p, n, k):
+    assert box_discrepancy(p, n, k) == walk_report(p, n, k)
+
+
+def test_primitive_root_against_sympy():
+    for p in sympy.primerange(2, 10**4):
+        assert lab._primitive_root(p) == sympy.primitive_root(p), p
+
+
 # ---------------------------------------------------------------- order and validation
 
-def _no_walk():
-    raise AssertionError("the walk started before validation finished")
+def _no_walk(*args):
+    raise AssertionError("the work started before validation finished")
 
 
 @pytest.mark.parametrize(
@@ -212,6 +286,7 @@ def _no_walk():
 )
 def test_errors_keep_their_order_and_come_first(monkeypatch, call, error, match):
     monkeypatch.setattr(lab, "_inverses", _no_walk)
+    monkeypatch.setattr(lab, "_primitive_root", _no_walk)
     with pytest.raises(error, match=match):
         call()  # enumerate_points raises here, before it is iterated
 
