@@ -27,7 +27,11 @@ p+1; F can now combine factors that the two stages of version 4 found
 apart, so some documents that derived "miller-rabin-probabilistic-64" now
 derive "lucas-n-plus-1". Version 6 drops the errors, values and
 primality lines: the checker recomputes all three, and proves p after every
-other claim holds. The parser rejects versions 1 to 5.
+other claim holds. Version 7 drops a point certificate's congruence-residue,
+congruence-modulus and prime-floor lines and a poly certificate's
+root-targets line: the class of p follows from the chain, the prime floor
+is no claim (the errors are checked exactly), and the root targets are the
+inner block's target. The parser rejects versions 1 to 6.
 """
 
 from __future__ import annotations
@@ -38,14 +42,13 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import Any
 
-from .arith import CongruenceClass
 from .chain import Chain, TargetPoint
 from .errors import CertificateFormatError, InputTooLarge
 from .lab import DiscrepancyReport
 from .lift import Certificate, WitnessPoint
 from .poly import MonicPolynomial, PolyCertificate
 
-CERTIFICATE_VERSION = 6
+CERTIFICATE_VERSION = 7
 
 # How one field's value is written (show) and read back (read).
 Codec = namedtuple("Codec", "show read")
@@ -90,17 +93,13 @@ POINT = DocumentKind(
         ("target", FRAC_LIST, attrgetter("target.coords")),
         ("eps", FRAC, attrgetter("eps")),
         ("chain", INT_LIST, attrgetter("chain.a")),
-        ("congruence-residue", INT, attrgetter("congruence.residue")),
-        ("congruence-modulus", INT, attrgetter("congruence.modulus")),
-        ("prime-floor", INT, attrgetter("prime_floor")),
         ("p", INT, attrgetter("witness.p")),
         ("witness", INT_LIST, attrgetter("witness.x")),
         ("max-error", FRAC, attrgetter("max_error")),
     ),
     lambda v: Certificate(
-        TargetPoint(v["target"]), v["eps"], Chain(v["chain"]),
-        CongruenceClass(v["congruence-residue"], v["congruence-modulus"]),
-        v["prime-floor"], WitnessPoint(v["p"], v["witness"]), v["mode"],
+        TargetPoint(v["target"]), v["eps"], Chain(v["chain"]), WitnessPoint(v["p"], v["witness"]),
+        v["mode"],
     ),
 )
 
@@ -115,11 +114,9 @@ POLY = DocumentKind(
         ("alphas", FRAC_LIST, attrgetter("alphas.coords")),
         ("eps", FRAC, attrgetter("eps")),
         ("root-precision", FRAC, attrgetter("root_precision")),
-        ("root-targets", FRAC_LIST, attrgetter("root_targets.coords")),
     ),
     lambda v: PolyCertificate(
-        MonicPolynomial(v["degree"], v["coeffs"]), TargetPoint(v["alphas"]), v["eps"],
-        TargetPoint(v["root-targets"]), v["inner"],
+        MonicPolynomial(v["degree"], v["coeffs"]), TargetPoint(v["alphas"]), v["eps"], v["inner"]
     ),
 )
 

@@ -71,18 +71,25 @@ def witness_is_valid(witness: WitnessPoint) -> bool:
 class Certificate:
     """Everything needed to re-verify one approximation from scratch.
 
-    The errors, their maximum and the primality proof are derived from the
-    target, the chain and the witness, each computed at most once per
-    certificate.
+    The class of p, the errors, their maximum and the primality proof are
+    derived from the target, the chain and the witness, each computed at
+    most once per certificate.
     """
 
     target: TargetPoint
     eps: Fraction
     chain: Chain
-    congruence: CongruenceClass
-    prime_floor: int
     witness: WitnessPoint
     mode: str
+
+    @cached_property
+    def congruence(self) -> CongruenceClass:
+        return dirichlet_residue(self.chain)
+
+    @property
+    def prime_floor(self) -> int:
+        """The error-driven floor of the construction; no claim to check."""
+        return min_prime_for_error(self.chain, self.eps / 2)
 
     @cached_property
     def errors(self) -> tuple[Fraction, ...]:
@@ -173,9 +180,8 @@ def approximate(
     eps = check_eps(eps)
     chain = build_chain(target, eps / 2, config)
     floor = max(min_prime_for_error(chain, eps / 2), min_p)
-    congruence = dirichlet_residue(chain)
-    p, proof = next_proved_prime_in_ap(congruence, floor, chain.a[2:])
-    cert = Certificate(target, eps, chain, congruence, floor, lift_chain(chain, p), config.mode)
+    p, proof = next_proved_prime_in_ap(dirichlet_residue(chain), floor, chain.a[2:])
+    cert = Certificate(target, eps, chain, lift_chain(chain, p), config.mode)
     vars(cert)["prime_proof"] = proof  # the scan has just proved p
     if cert.max_error >= eps:  # excluded by the eps/2 + eps/2 split
         raise RuntimeError(f"lift at p={p} misses eps: max error {cert.max_error}")
@@ -195,13 +201,7 @@ def check_certificate(cert: Certificate) -> str | None:
         return "eps-out-of-range"
     if not chain_is_valid(cert.chain.a):
         return "chain-invalid"
-    if dirichlet_residue(cert.chain) != cert.congruence:
-        return "congruence-mismatch"
-    if cert.prime_floor < min_prime_for_error(cert.chain, cert.eps / 2):
-        return "prime-floor-below-error-bound"
     p = cert.witness.p
-    if p < cert.prime_floor:
-        return "prime-below-floor"
     if not cert.congruence.contains(p):
         return "p-not-in-class"
     try:

@@ -48,15 +48,18 @@ class MonicPolynomial:
 class PolyCertificate:
     """A point certificate plus the exact polynomial values it induces.
 
-    The root precision, the values and their errors are derived from the
-    other fields, each computed at most once per certificate.
+    The root targets (the inner target), the root precision, the values and
+    their errors are derived, each computed at most once per certificate.
     """
 
     f: MonicPolynomial
     alphas: TargetPoint
     eps: Fraction
-    root_targets: TargetPoint
     inner: Certificate
+
+    @property
+    def root_targets(self) -> TargetPoint:
+        return self.inner.target
 
     @cached_property
     def root_precision(self) -> Fraction:
@@ -144,7 +147,7 @@ def approximate_polynomial(
     precision = _root_precision(eps, d)
     roots = TargetPoint(tuple(rational_root(a, d, precision) for a in alphas.coords))
     inner = approximate(roots, _inner_eps(eps, d), config, min_p=_prime_floor(f, eps))
-    cert = PolyCertificate(f, alphas, eps, roots, inner)
+    cert = PolyCertificate(f, alphas, eps, inner)
     if max(cert.errors) >= eps:  # excluded by the budget split and prime floor
         raise RuntimeError(
             f"witness at p={inner.witness.p} misses eps: max error {max(cert.errors)}"
@@ -166,8 +169,6 @@ def check_poly_certificate(cert: PolyCertificate) -> str | None:
     )
     if cert.root_targets.coords != expected_roots:
         return "root-targets-mismatch"
-    if cert.inner.target != cert.root_targets:
-        return "inner-target-mismatch"
     if cert.inner.eps != _inner_eps(cert.eps, d):
         return "inner-eps-mismatch"
     if cert.inner.witness.p < _prime_floor(cert.f, cert.eps):

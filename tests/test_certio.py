@@ -96,7 +96,8 @@ def test_parse_rejects_malformed(point_cert):
     with pytest.raises(CertificateFormatError):
         parse_document(document.replace(f"version: {CERTIFICATE_VERSION}", "version: 99"))
     # 3 and 5 changed the primality tag some documents derive, 4 the poly
-    # budget, 6 dropped the errors, values and primality lines
+    # budget, 6 dropped the errors, values and primality lines, 7 the
+    # congruence, prime-floor and root-targets lines
     for older in range(1, CERTIFICATE_VERSION):
         with pytest.raises(CertificateFormatError, match="unsupported version"):
             parse_document(document.replace(f"version: {CERTIFICATE_VERSION}", f"version: {older}"))
@@ -145,7 +146,8 @@ def test_disagreeing_lines_are_rejected_before_p_is_proved(point_cert, poly_cert
     edits = [
         (point, "witness: 17,20,18", "witness: 17,21,18", "witness-mismatch"),
         (point, "p: 29", "p: 31", "field max-error"),
-        (point, "eps: 1/5", "eps: 1/100", "prime-floor-below-error-bound"),
+        (point, "eps: 1/5", "eps: 1/100", "max-error-exceeds-eps"),
+        (point, "chain: 1,2,3,5", "chain: 1,2,3,7", "p-not-in-class"),
         # coefficients up to 41538 keep this witness a valid certificate
         (poly, "\ncoeffs: 1,0\n", "\ncoeffs: 100000,0\n", "prime-floor-too-low"),
         (poly, "\neps: 1/10\n", "\neps: 1/20\n", "field root-precision"),
@@ -156,6 +158,35 @@ def test_disagreeing_lines_are_rejected_before_p_is_proved(point_cert, poly_cert
     for document in (point, poly):
         with pytest.raises(AssertionError, match="p was proved"):
             _verdict(document)
+
+
+# lines that version 6 wrote and version 7 derives, after the line they follow
+_VERSION_6_LINES = (
+    ("chain: 1,2,3,5\n", "congruence-residue: 29\n"),
+    ("chain: 1,2,3,5\n", "congruence-modulus: 30\n"),
+    ("chain: 1,2,3,5\n", "prime-floor: 26\n"),
+    ("root-precision: 1/80\n", "root-targets: 45/64,45/64,45/64\n"),
+)
+
+
+def test_version_6_documents_are_rejected_on_their_version(point_cert, poly_cert):
+    point = serialize_certificate(point_cert)
+    poly = serialize_poly_certificate(poly_cert)
+    for document in (point, poly):
+        old = document.replace(f"version: {CERTIFICATE_VERSION}\n", "version: 6\n")
+        for anchor, line in _VERSION_6_LINES:
+            old = old.replace(anchor, anchor + line, 1)
+        with pytest.raises(CertificateFormatError, match="unsupported version: 6"):
+            parse_document(old)
+
+
+@pytest.mark.parametrize("anchor, line", _VERSION_6_LINES)
+def test_dropped_lines_are_unexpected_fields(point_cert, poly_cert, anchor, line):
+    documents = (serialize_certificate(point_cert), serialize_poly_certificate(poly_cert))
+    document = next(document for document in documents if anchor in document)
+    key = line.partition(":")[0]
+    with pytest.raises(CertificateFormatError, match=f"unexpected fields.*{key}"):
+        parse_document(document.replace(anchor, anchor + line, 1))
 
 
 def test_consistent_witness_edit_fails_the_relift(point_cert):
@@ -212,7 +243,7 @@ def test_poly_requires_inner_block(poly_cert):
         ("p: 29", "p: 2_9"),
         ("eps: 1/5", "eps: -1/-5"),
         ("eps: 1/5", "eps: 2/10"),
-        ("congruence-residue: 29", "congruence-residue: 59"),
+        ("max-error: 5/58", "max-error: 10/116"),
         ("witness: 17,20,18", "witness: +17, 20,018"),
     ],
 )
@@ -230,7 +261,7 @@ def test_poly_values_past_the_digit_limit_raise_input_too_large(point_cert):
     huge = 10**limit + 1
     assert limit > 0
     poly = PolyCertificate(
-        MonicPolynomial(2, (huge, 0)), TARGET, Fraction(1, 10), TARGET, point_cert
+        MonicPolynomial(2, (huge, 0)), TARGET, Fraction(1, 10), point_cert
     )
     point = dataclasses.replace(point_cert, witness=WitnessPoint(huge, (1, 1, 1)))
     for serialize, cert, field in (
@@ -261,15 +292,13 @@ def test_hostile_tail_is_decided_within_the_budget():
     chain = Chain((1, 3, *tail))
     target = TargetPoint(tuple(Fraction(a, b) for a, b in zip(chain.a, chain.a[1:])))
     congruence = lift.dirichlet_residue(chain)
-    floor = lift.min_prime_for_error(chain, Fraction(1, 2))
     start = 2**539 + rng.getrandbits(500)
     p = next(
         p for p in range(start + (congruence.residue - start) % congruence.modulus,
                          start + 10**4 * congruence.modulus, congruence.modulus)
         if sympy.isprime(p)
     )
-    cert = lift.Certificate(target, Fraction(1), chain, congruence, floor,
-                            lift.lift_chain(chain, p), "search")
+    cert = lift.Certificate(target, Fraction(1), chain, lift.lift_chain(chain, p), "search")
     document = serialize_certificate(cert)
     assert f"version: {CERTIFICATE_VERSION}\n" in document
     started = time.perf_counter()

@@ -229,7 +229,7 @@ def test_usage_errors_exit_two(capsys):
         ("p: 29", "p: 2_9"),
         ("eps: 1/5", "eps: -1/-5"),
         ("eps: 1/5", "eps: 2/10"),
-        ("congruence-residue: 29", "congruence-residue: 59"),
+        ("chain: 1,2,3,5", "chain: 1,2,3,7"),  # a valid chain whose class misses p
         ("witness: 17,20,18", "witness: +17, 20,018"),
         ("mode: search", "primality: miller-rabin-deterministic"),  # a version-5 line
         ("mode: search", "mode: anything goes"),

@@ -110,6 +110,18 @@ def test_box_validation():
         box_discrepancy(5, 2, 10**4 + 1)
 
 
+def test_box_budget_refuses_one_box_past_two_to_the_twenty():
+    # the box budget comes before the dimension check, so n = 1 probes it
+    # exactly without counting a million boxes
+    assert lab.BOX_BUDGET == 2**20
+    with pytest.raises(BudgetExceeded, match="k\\^n = 1048577 boxes"):
+        box_discrepancy(4, 1, 2**20 + 1)
+    with pytest.raises(ValueError, match="dimension"):
+        box_discrepancy(4, 1, 2**20)
+    with pytest.raises(BudgetExceeded, match="k\\^n"):
+        box_discrepancy(2, 2, 1025)  # 1025^2 boxes, one point
+
+
 def test_discrepancy_shrinks_with_p():
     small = box_discrepancy(101, 2, 4)
     large = box_discrepancy(1009, 2, 4)

@@ -184,7 +184,6 @@ def test_approximate_corner_target():
 def test_approximate_min_p():
     cert = approximate(TARGET, Fraction(1, 5), min_p=1000)
     assert cert.witness.p >= 1000
-    assert cert.prime_floor >= 1000
     assert verify_certificate(cert)
 
 
@@ -225,11 +224,11 @@ def test_verify_detects_tampering():
     tampered = dataclasses.replace(cert, chain=Chain((1, 2, 4, 5)))
     assert check_certificate(tampered) == "chain-invalid"
 
-    tampered = dataclasses.replace(cert, congruence=CongruenceClass(7, 30))
-    assert check_certificate(tampered) == "congruence-mismatch"
-
-    tampered = dataclasses.replace(cert, prime_floor=2)
-    assert check_certificate(tampered) == "prime-floor-below-error-bound"
+    # the class of p follows the chain: a valid chain of another class
+    # leaves p=29 outside it
+    tampered = dataclasses.replace(cert, chain=Chain((1, 2, 3, 7)))
+    assert tampered.congruence == CongruenceClass(41, 42)
+    assert check_certificate(tampered) == "p-not-in-class"
 
     # the errors follow the witness, so the lift at the next prime of the
     # class is a certificate in its own right
@@ -238,11 +237,10 @@ def test_verify_detects_tampering():
     assert moved.max_error == Fraction(5, 118)
     assert check_certificate(moved) is None
 
+    # the prime floor is no claim; a tighter eps fails the exact errors
     tampered = dataclasses.replace(cert, eps=Fraction(1, 100))
-    assert check_certificate(tampered) in (
-        "prime-floor-below-error-bound",
-        "max-error-exceeds-eps",
-    )
+    assert tampered.prime_floor > cert.witness.p
+    assert check_certificate(tampered) == "max-error-exceeds-eps"
 
 
 def test_verify_checks_primality_tag():

@@ -180,9 +180,10 @@ def test_poly_verify_detects_tampering():
     tampered = dataclasses.replace(cert, f=MonicPolynomial(2, (10**9, 0)))
     assert check_poly_certificate(tampered) == "prime-floor-too-low"
 
-    tampered = dataclasses.replace(
-        cert, root_targets=TargetPoint((Fraction(1, 2),) * 3)
-    )
+    # the root targets are the inner target
+    inner = dataclasses.replace(cert.inner, target=TargetPoint((Fraction(1, 2),) * 3))
+    tampered = dataclasses.replace(cert, inner=inner)
+    assert tampered.root_targets == inner.target
     assert check_poly_certificate(tampered) == "root-targets-mismatch"
 
     # the values follow the inner witness; an edited residue fails its relift
