@@ -7,9 +7,8 @@ bit for bit. The parser accepts the fields in any order, rejects missing,
 unknown or duplicate keys, and accepts only the canonical encoding: every
 field must read exactly as the writer would write the parsed document, so
 the two lines derived from other fields (max-error, a poly certificate's
-root-precision) are checked at parse time. Poly certificates embed their
-inner point certificate as a two-space indented block after an "inner:"
-line.
+root-precision) are checked at parse time. Every document is one flat
+block of "key: value" lines.
 
 Up to version 5 a document also stored its errors, a poly certificate its
 values and their errors, and a point certificate a primality line naming
@@ -31,7 +30,11 @@ other claim holds. Version 7 drops a point certificate's congruence-residue,
 congruence-modulus and prime-floor lines and a poly certificate's
 root-targets line: the class of p follows from the chain, the prime floor
 is no claim (the errors are checked exactly), and the root targets are the
-inner block's target. The parser rejects versions 1 to 6.
+inner block's target. Version 8 makes a poly certificate one flat block:
+its mode, chain, p and witness are its own lines, and the nested inner
+point certificate is gone with the lines it repeated or derived (version,
+kind, target, eps and max-error); the checker rebuilds that certificate at
+the d-th-root targets. The parser rejects versions 1 to 7.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from .lab import DiscrepancyReport
 from .lift import Certificate, WitnessPoint
 from .poly import MonicPolynomial, PolyCertificate
 
-CERTIFICATE_VERSION = 7
+CERTIFICATE_VERSION = 8
 
 # How one field's value is written (show) and read back (read).
 Codec = namedtuple("Codec", "show read")
@@ -84,17 +87,24 @@ FRAC_LIST = Codec(
 DocumentKind = namedtuple("DocumentKind", "name fields build")
 
 
+# The claim rows both certificate kinds share: the mode, then the chain, p
+# and witness.
+_MODE = ("mode", TEXT, attrgetter("mode"))
+_LIFT = (
+    ("chain", INT_LIST, attrgetter("chain.a")),
+    ("p", INT, attrgetter("witness.p")),
+    ("witness", INT_LIST, attrgetter("witness.x")),
+)
+
 POINT = DocumentKind(
     "point-certificate",
     (
         ("version", INT, lambda _: CERTIFICATE_VERSION),
         ("kind", TEXT, lambda _: POINT.name),
-        ("mode", TEXT, attrgetter("mode")),
+        _MODE,
         ("target", FRAC_LIST, attrgetter("target.coords")),
         ("eps", FRAC, attrgetter("eps")),
-        ("chain", INT_LIST, attrgetter("chain.a")),
-        ("p", INT, attrgetter("witness.p")),
-        ("witness", INT_LIST, attrgetter("witness.x")),
+        *_LIFT,
         ("max-error", FRAC, attrgetter("max_error")),
     ),
     lambda v: Certificate(
@@ -103,20 +113,22 @@ POINT = DocumentKind(
     ),
 )
 
-# The inner point certificate is no row: it follows as the "inner:" block.
 POLY = DocumentKind(
     "poly-certificate",
     (
         ("version", INT, lambda _: CERTIFICATE_VERSION),
         ("kind", TEXT, lambda _: POLY.name),
+        _MODE,
         ("degree", INT, attrgetter("f.degree")),
         ("coeffs", INT_LIST, attrgetter("f.coeffs")),
         ("alphas", FRAC_LIST, attrgetter("alphas.coords")),
         ("eps", FRAC, attrgetter("eps")),
         ("root-precision", FRAC, attrgetter("root_precision")),
+        *_LIFT,
     ),
     lambda v: PolyCertificate(
-        MonicPolynomial(v["degree"], v["coeffs"]), TargetPoint(v["alphas"]), v["eps"], v["inner"]
+        MonicPolynomial(v["degree"], v["coeffs"]), TargetPoint(v["alphas"]), v["eps"], v["mode"],
+        Chain(v["chain"]), WitnessPoint(v["p"], v["witness"]),
     ),
 )
 
@@ -142,11 +154,11 @@ REPORT = DocumentKind(
 _KINDS = {kind.name: kind for kind in (POINT, POLY, REPORT)}
 
 
-def _write(kind: DocumentKind, obj, indent: str = "") -> str:
+def _write(kind: DocumentKind, obj) -> str:
     lines = []
     for key, codec, get in kind.fields:
         try:
-            lines.append(f"{indent}{key}: {codec.show(get(obj))}\n")
+            lines.append(f"{key}: {codec.show(get(obj))}\n")
         except ValueError:  # str() of an integer past CPython's digit limit
             raise InputTooLarge(
                 f"{kind.name} field {key} holds an integer beyond the "
@@ -160,46 +172,21 @@ def serialize_certificate(cert: Certificate) -> str:
 
 
 def serialize_poly_certificate(cert: PolyCertificate) -> str:
-    return _write(POLY, cert) + "inner:\n" + _write(POINT, cert.inner, "  ")
+    return _write(POLY, cert)
 
 
 def serialize_report(report: DiscrepancyReport) -> str:
     return _write(REPORT, report)
 
 
-def _split_block(lines: list) -> tuple[dict, list | None]:
-    fields: dict[str, str] = {}
-    inner: list | None = None
-    i = 0
-    while i < len(lines):
-        line = lines[i]
-        if line == "inner:":
-            if inner is not None:
-                raise CertificateFormatError("duplicate inner block")
-            inner = []
-            i += 1
-            while i < len(lines) and lines[i].startswith("  "):
-                inner.append(lines[i][2:])
-                i += 1
-            continue
-        key, sep, value = line.partition(": ")
-        if not sep or not key:
-            raise CertificateFormatError(f"malformed line: {line!r}")
-        if key in fields:
-            raise CertificateFormatError(f"duplicate field: {key}")
-        fields[key] = value
-        i += 1
-    return fields, inner
-
-
-def _read(kind: DocumentKind, fields: dict, inner: Certificate | None = None) -> Any:
+def _read(kind: DocumentKind, fields: dict) -> Any:
     """Decode every row of `kind` from the raw fields, build the object, and
     require each raw field to read exactly as the object writes it, which
     rejects both a non-canonical encoding and a derived line that disagrees
     with the rest of the document."""
     if fields.get("version") != str(CERTIFICATE_VERSION):
         raise CertificateFormatError(f"unsupported version: {fields.get('version')}")
-    values: dict[str, Any] = {"inner": inner}
+    values: dict[str, Any] = {}
     unknown = fields.keys() - {key for key, _, _ in kind.fields}
     if unknown:
         raise CertificateFormatError(
@@ -232,24 +219,20 @@ def parse_document(text: str):
     DiscrepancyReport depending on its kind field."""
     if not text.strip():
         raise CertificateFormatError("empty document")
-    # no reference to the line list outlives the split (keeps the peak heap low)
-    fields, inner_lines = _split_block([line for line in text.splitlines() if line.strip()])
+    fields: dict[str, str] = {}
+    for line in text.splitlines():
+        if not line.strip():
+            continue
+        key, sep, value = line.partition(": ")
+        if not sep or not key:
+            raise CertificateFormatError(f"malformed line: {line!r}")
+        if key in fields:
+            raise CertificateFormatError(f"duplicate field: {key}")
+        fields[key] = value
     kind = _KINDS.get(fields.get("kind"))
     if kind is None:
         raise CertificateFormatError(f"missing or unknown kind: {fields.get('kind')!r}")
-    inner = None
-    if kind is POLY:
-        if inner_lines is None:
-            raise CertificateFormatError("poly certificate lacks the inner block")
-        inner_fields, nested = _split_block(inner_lines)
-        if nested is not None:
-            raise CertificateFormatError("unexpected nested inner block")
-        if inner_fields.get("kind") != POINT.name:
-            raise CertificateFormatError("inner block is not a point certificate")
-        inner = _read(POINT, inner_fields)
-    elif inner_lines is not None:
-        raise CertificateFormatError(f"{kind.name} with an inner block")
-    return _read(kind, fields, inner)
+    return _read(kind, fields)
 
 
 def parse_certificate(text: str):

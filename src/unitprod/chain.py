@@ -69,7 +69,7 @@ class Chain:
 
 @dataclass(frozen=True)
 class BuilderConfig:
-    """Construction mode for build_chain; the default is the direct search."""
+    """Construction mode for build_chain; the default is search mode."""
 
     mode: str = "search"
 

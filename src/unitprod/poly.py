@@ -18,8 +18,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from .arith import check_eps
-from .chain import DEFAULT_CONFIG, BuilderConfig, TargetPoint
-from .lift import Certificate, approximate, check_certificate
+from .chain import DEFAULT_CONFIG, BuilderConfig, Chain, TargetPoint
+from .lift import Certificate, WitnessPoint, approximate, check_certificate
 
 
 @dataclass(frozen=True)
@@ -46,30 +46,38 @@ class MonicPolynomial:
 
 @dataclass(frozen=True)
 class PolyCertificate:
-    """A point certificate plus the exact polynomial values it induces.
+    """The claim that the witness's values f(x_i)/p^d lie within eps of the
+    alphas, with the chain that lifts to the witness.
 
-    The root targets (the inner target), the root precision, the values and
-    their errors are derived, each computed at most once per certificate.
+    The root precision, the inner point certificate at the d-th-root targets,
+    the values and their errors are derived, each computed at most once per
+    certificate.
     """
 
     f: MonicPolynomial
     alphas: TargetPoint
     eps: Fraction
-    inner: Certificate
-
-    @property
-    def root_targets(self) -> TargetPoint:
-        return self.inner.target
+    mode: str
+    chain: Chain
+    witness: WitnessPoint
 
     @cached_property
     def root_precision(self) -> Fraction:
-        return _root_precision(self.eps, self.f.degree)
+        return _root_budget(self.eps, self.f.degree)
+
+    @cached_property
+    def inner(self) -> Certificate:
+        """The point certificate the chain and witness make at the d-th roots
+        of the alphas, with eps the other half of the root budget."""
+        half = self.root_precision
+        roots = _root_targets(self.alphas, self.f.degree, half)
+        return Certificate(roots, half, self.chain, self.witness, self.mode)
 
     @cached_property
     def values(self) -> tuple[Fraction, ...]:
-        """The exact values f(x_i)/p^d at the inner witness."""
-        p_power = self.inner.witness.p**self.f.degree
-        return tuple(Fraction(poly_eval(self.f, x), p_power) for x in self.inner.witness.x)
+        """The exact values f(x_i)/p^d at the witness."""
+        p_power = self.witness.p**self.f.degree
+        return tuple(Fraction(poly_eval(self.f, x), p_power) for x in self.witness.x)
 
     @cached_property
     def errors(self) -> tuple[Fraction, ...]:
@@ -117,14 +125,15 @@ def rational_root(
     return Fraction(lo, scale)
 
 
-def _root_precision(eps: Fraction, d: int) -> Fraction:
+def _root_budget(eps: Fraction, d: int) -> Fraction:
+    # each half of the root budget eps/(2d): the rational root's distance to
+    # alpha^(1/d) (the root precision), and the witness's distance to the
+    # rational root (the inner eps)
     return eps / (4 * d)
 
 
-def _inner_eps(eps: Fraction, d: int) -> Fraction:
-    # the other half of the root budget eps/(2d): the witness's distance to
-    # the rational root
-    return eps / (4 * d)
+def _root_targets(alphas: TargetPoint, d: int, precision: Fraction) -> TargetPoint:
+    return TargetPoint(tuple(rational_root(a, d, precision) for a in alphas.coords))
 
 
 def _prime_floor(f: MonicPolynomial, eps: Fraction) -> int:
@@ -143,11 +152,10 @@ def approximate_polynomial(
     by running the point pipeline at the d-th-root targets with a prime
     floor above 2*d*height/eps."""
     eps = check_eps(eps)
-    d = f.degree
-    precision = _root_precision(eps, d)
-    roots = TargetPoint(tuple(rational_root(a, d, precision) for a in alphas.coords))
-    inner = approximate(roots, _inner_eps(eps, d), config, min_p=_prime_floor(f, eps))
-    cert = PolyCertificate(f, alphas, eps, inner)
+    half = _root_budget(eps, f.degree)
+    roots = _root_targets(alphas, f.degree, half)
+    inner = approximate(roots, half, config, min_p=_prime_floor(f, eps))
+    cert = PolyCertificate(f, alphas, eps, inner.mode, inner.chain, inner.witness)
     if max(cert.errors) >= eps:  # excluded by the budget split and prime floor
         raise RuntimeError(
             f"witness at p={inner.witness.p} misses eps: max error {max(cert.errors)}"
@@ -158,24 +166,16 @@ def approximate_polynomial(
 def check_poly_certificate(cert: PolyCertificate) -> str | None:
     """Recompute the whole reduction; None when everything holds, else a
     short reason code."""
-    d = cert.f.degree
     n = cert.alphas.n
-    if cert.root_targets.n != n:
+    if cert.chain.n != n or len(cert.witness.x) != n:
         return "dimension-mismatch"
     if not 0 < cert.eps <= 1:
         return "eps-out-of-range"
-    expected_roots = tuple(
-        rational_root(a, d, cert.root_precision) for a in cert.alphas.coords
-    )
-    if cert.root_targets.coords != expected_roots:
-        return "root-targets-mismatch"
-    if cert.inner.eps != _inner_eps(cert.eps, d):
-        return "inner-eps-mismatch"
-    if cert.inner.witness.p < _prime_floor(cert.f, cert.eps):
+    if cert.witness.p < _prime_floor(cert.f, cert.eps):
         return "prime-floor-too-low"
     if max(cert.errors) >= cert.eps:
         return "error-exceeds-eps"
-    reason = check_certificate(cert.inner)  # proves p last
+    reason = check_certificate(cert.inner)  # rebuilt at the d-th roots; proves p last
     return None if reason is None else f"inner-{reason}"
 
 

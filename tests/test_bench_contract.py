@@ -2,7 +2,9 @@
 by name and reads certificate attributes, and bench/workloads.py reads
 document attributes in its oracles. Running the first ops of each workload
 under the tracer catches a renamed function or a dropped attribute here
-rather than in a full benchmark run. The bench files are only imported."""
+rather than in a full benchmark run, and running the whole verify corpus
+catches a document layout the bench's oracles or tampers no longer fit.
+The bench files are only imported."""
 
 import importlib.util
 import sys
@@ -56,3 +58,18 @@ def test_first_ops_pass_their_check_under_the_tracer(tmp_path, name):
     assert len(tracer.modulus_bits) == len(tracer.p_over_floor_bits) == checks
     if name == "certify":
         assert checks == FIRST_OPS
+
+
+def test_verify_corpus_fits_the_bench_oracles_and_tampers(tmp_path):
+    workload = workloads.Verify(tmp_path)
+    workload.setup(1)
+    # the bench's own point and poly oracles and its byte round trip, on
+    # every valid document
+    workload.check_corpus()
+    # every tamper found a unique line to rewrite, and each tampered
+    # document exits 1 with a reason
+    tampered = [i for i, (_, _, _, valid) in enumerate(workload.corpus) if not valid]
+    assert len(tampered) == len(workload.TAMPERS) + 1
+    for i in tampered:
+        op = workloads.Op("verify", (i,))
+        workload.check(op, workload.run(op))

@@ -97,7 +97,7 @@ def test_parse_rejects_malformed(point_cert):
         parse_document(document.replace(f"version: {CERTIFICATE_VERSION}", "version: 99"))
     # 3 and 5 changed the primality tag some documents derive, 4 the poly
     # budget, 6 dropped the errors, values and primality lines, 7 the
-    # congruence, prime-floor and root-targets lines
+    # congruence, prime-floor and root-targets lines, 8 the poly inner block
     for older in range(1, CERTIFICATE_VERSION):
         with pytest.raises(CertificateFormatError, match="unsupported version"):
             parse_document(document.replace(f"version: {CERTIFICATE_VERSION}", f"version: {older}"))
@@ -134,8 +134,8 @@ def _verdict(document: str) -> str | None:
 
 def test_disagreeing_lines_are_rejected_before_p_is_proved(point_cert, poly_cert, monkeypatch):
     # the checker proves p last, so a document that fails any other check,
-    # at the parser or in the checker, inner block included, never pays for
-    # proving p
+    # at the parser or in the checker, the rebuilt inner certificate
+    # included, never pays for proving p
     point = serialize_certificate(point_cert)
     poly = serialize_poly_certificate(poly_cert)
 
@@ -151,6 +151,7 @@ def test_disagreeing_lines_are_rejected_before_p_is_proved(point_cert, poly_cert
         # coefficients up to 41538 keep this witness a valid certificate
         (poly, "\ncoeffs: 1,0\n", "\ncoeffs: 100000,0\n", "prime-floor-too-low"),
         (poly, "\neps: 1/10\n", "\neps: 1/20\n", "field root-precision"),
+        (poly, "\nchain: 26,37,53,75\n", "\nchain: 26,37,53,77\n", "inner-p-not-in-class"),
     ]
     for document, old, new, rejection in edits:
         assert old in document
@@ -228,13 +229,29 @@ def test_poly_with_the_version_3_root_precision_is_rejected(poly_cert):
         ))
 
 
-def test_poly_requires_inner_block(poly_cert):
+@pytest.mark.parametrize("key", ["mode", "chain", "p", "witness"])
+def test_poly_requires_each_claim(poly_cert, key):
     document = serialize_poly_certificate(poly_cert)
-    headless = "\n".join(
-        line for line in document.splitlines() if not line.startswith(("inner:", "  "))
-    )
-    with pytest.raises(CertificateFormatError):
-        parse_document(headless + "\n")
+    lines = [line for line in document.splitlines() if not line.startswith(key + ": ")]
+    assert len(lines) == len(document.splitlines()) - 1
+    with pytest.raises(CertificateFormatError, match=f"missing field: {key}$"):
+        parse_document("".join(line + "\n" for line in lines))
+
+
+def test_poly_rejects_the_version_7_inner_block(poly_cert):
+    # version 7 nested the point certificate as an indented "inner:" block;
+    # at version 8 that block, and any indented line, is no field
+    document = serialize_poly_certificate(poly_cert)
+    block = "".join(f"  {line}\n" for line in serialize_certificate(poly_cert.inner).splitlines())
+    with pytest.raises(CertificateFormatError, match="malformed line: 'inner:'"):
+        parse_document(document + "inner:\n" + block)
+    with pytest.raises(CertificateFormatError, match="unexpected fields"):
+        parse_document(document + block)
+    lines = document.splitlines()
+    for i in range(len(lines)):
+        indented = lines[:i] + ["  " + lines[i]] + lines[i + 1:]
+        with pytest.raises(CertificateFormatError):
+            parse_document("".join(line + "\n" for line in indented))
 
 
 @pytest.mark.parametrize(
@@ -261,7 +278,8 @@ def test_poly_values_past_the_digit_limit_raise_input_too_large(point_cert):
     huge = 10**limit + 1
     assert limit > 0
     poly = PolyCertificate(
-        MonicPolynomial(2, (huge, 0)), TARGET, Fraction(1, 10), point_cert
+        MonicPolynomial(2, (huge, 0)), TARGET, Fraction(1, 10), point_cert.mode,
+        point_cert.chain, point_cert.witness,
     )
     point = dataclasses.replace(point_cert, witness=WitnessPoint(huge, (1, 1, 1)))
     for serialize, cert, field in (

@@ -256,7 +256,7 @@ def test_verify_rejects_edited_fields(tmp_path, capsys, canonical, variant):
     [
         ("coeffs", "100000,0"),  # p falls below the poly's prime floor
         ("root-precision", "1/100"),
-        ("  max-error", "1/1000"),  # the inner certificate's
+        ("witness", "1,1,1"),  # a unit product whose values miss the alphas
     ],
 )
 def test_verify_rejects_edited_poly_fields(tmp_path, capsys, key, value):
@@ -352,8 +352,8 @@ def test_verify_verdicts_hold_without_asserts(tmp_path):
 
 def test_verify_rejects_a_claimed_degree_past_the_digit_limit(tmp_path, capsys):
     # at degree 2000 the values f(x)/p^d are too long to write as decimals;
-    # the checker never writes them, and rejects the degree-1 root targets
-    # without ending in exit 3
+    # the checker never writes them, and rejects the degree-1 witness on its
+    # errors without ending in exit 3
     golden = Path(__file__).parent / "data" / "golden" / "poly-d1.cert"
     degree = 2000
     precision = Fraction(1, 10) / (4 * degree)  # agrees, so the document parses
@@ -369,7 +369,7 @@ def test_verify_rejects_a_claimed_degree_past_the_digit_limit(tmp_path, capsys):
         f"{key}: {replace[key]}\n" if key in replace else line + "\n"
         for line in lines for key in [line.partition(": ")[0]]
     ))
-    expected = (1, "invalid certificate: root-targets-mismatch\n")
+    expected = (1, "invalid certificate: error-exceeds-eps\n")
     started = time.perf_counter()
     assert run(capsys, "verify", "--cert", str(hostile))[:2] == expected
     assert time.perf_counter() - started < HOSTILE_BUDGET_S

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unitprod import poly
-from unitprod.chain import TargetPoint
+from unitprod.chain import Chain, TargetPoint
 from unitprod.poly import (
     MonicPolynomial,
     approximate_polynomial,
@@ -87,7 +87,6 @@ def test_identity_polynomial_collapses():
     f = MonicPolynomial(1, (0,))
     alphas = TargetPoint((Fraction(1, 3), Fraction(2, 7), Fraction(5, 9)))
     cert = approximate_polynomial(f, alphas, Fraction(1, 10))
-    assert cert.root_targets == alphas
     assert cert.inner.target == alphas
     assert cert.values == cert.inner.witness.point
     assert cert.errors == cert.inner.errors
@@ -180,23 +179,27 @@ def test_poly_verify_detects_tampering():
     tampered = dataclasses.replace(cert, f=MonicPolynomial(2, (10**9, 0)))
     assert check_poly_certificate(tampered) == "prime-floor-too-low"
 
-    # the root targets are the inner target
-    inner = dataclasses.replace(cert.inner, target=TargetPoint((Fraction(1, 2),) * 3))
-    tampered = dataclasses.replace(cert, inner=inner)
-    assert tampered.root_targets == inner.target
-    assert check_poly_certificate(tampered) == "root-targets-mismatch"
+    # the inner certificate is rebuilt from the chain and witness: a chain
+    # one term short fails the dimension check, and another valid chain of
+    # the right length misses the class of p
+    tampered = dataclasses.replace(cert, chain=Chain(cert.chain.a[:-1]))
+    assert check_poly_certificate(tampered) == "dimension-mismatch"
+    a = cert.chain.a
+    tampered = dataclasses.replace(cert, chain=Chain(a[:-1] + (a[-1] * a[-2] + 1,)))
+    assert tampered.inner.chain == tampered.chain
+    assert check_poly_certificate(tampered) == "inner-p-not-in-class"
 
-    # the values follow the inner witness; an edited residue fails its relift
-    x = cert.inner.witness.x
-    witness = dataclasses.replace(cert.inner.witness, x=(x[0] + 1,) + x[1:])
-    tampered = dataclasses.replace(cert, inner=dataclasses.replace(cert.inner, witness=witness))
+    # the values follow the witness; an edited residue fails its relift
+    x = cert.witness.x
+    witness = dataclasses.replace(cert.witness, x=(x[0] + 1,) + x[1:])
+    tampered = dataclasses.replace(cert, witness=witness)
     assert tampered.values[1:] == cert.values[1:] and tampered.values[0] != cert.values[0]
     assert check_poly_certificate(tampered) == "inner-witness-mismatch"
 
 
 def test_poly_guard_survives_without_asserts(monkeypatch):
-    # an inner tolerance of 1 leaves the values far from the targets
-    monkeypatch.setattr(poly, "_inner_eps", lambda eps, d: Fraction(1))
+    # a root budget of 1 leaves the values far from the targets
+    monkeypatch.setattr(poly, "_root_budget", lambda eps, d: Fraction(1))
     with pytest.raises(RuntimeError):
         approximate_polynomial(MonicPolynomial(2, (1, 0)), HALVES, Fraction(1, 10))
 
