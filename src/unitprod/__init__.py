@@ -23,6 +23,7 @@ from .chain import (
     TargetPoint,
     build_chain,
     chain_is_valid,
+    faithful_floor,
     faithful_parameters,
 )
 from .certio import (
@@ -105,6 +106,7 @@ __all__ = [
     "dirichlet_residue",
     "enumerate_points",
     "factorize",
+    "faithful_floor",
     "faithful_parameters",
     "find_coprime_numerator",
     "find_denominator_for_prime",

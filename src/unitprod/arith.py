@@ -466,6 +466,16 @@ def prove_prime(n: int, terms: Iterable[int] = ()) -> str | None:
     return PROBABILISTIC_TAG if all(rounds) else None
 
 
+def is_proved_prime(n: int) -> bool:
+    """Whether n is prime by a proof that the proof of a prime p accepts for
+    a factor n of p + 1: is_prime below DETERMINISTIC_PRIMALITY_BOUND, and
+    above it is_prime's first seeded round and then the nested proof that
+    _proof runs on such a factor (_nested_proof, one level deep)."""
+    if n < DETERMINISTIC_PRIMALITY_BOUND:
+        return is_prime(n)
+    return _first_test_passes(n) and _nested_proof(n, 1)
+
+
 def _sieve(limit: int) -> bytearray:
     """flags[i] = 1 exactly when i is prime, for 0 <= i < limit."""
     flags = bytearray([1]) * limit
@@ -569,6 +579,14 @@ def next_prime(lower: int) -> int:
     if lower <= 2:
         return 2
     return next_prime_in_ap(CongruenceClass(1, 2), lower)
+
+
+def next_proved_prime(lower: int) -> int:
+    """Smallest n >= lower that is_proved_prime accepts; above 2 only odd
+    candidates are tested."""
+    if lower <= 2:
+        return 2
+    return next(c for c in _progression(CongruenceClass(1, 2), lower) if is_proved_prime(c))
 
 
 def factorize(n: int) -> Factorization:

@@ -34,7 +34,13 @@ inner block's target. Version 8 makes a poly certificate one flat block:
 its mode, chain, p and witness are its own lines, and the nested inner
 point certificate is gone with the lines it repeated or derived (version,
 kind, target, eps and max-error); the checker rebuilds that certificate at
-the d-th-root targets. The parser rejects versions 1 to 7.
+the d-th-root targets. Version 9 keeps the layout but builds other chains:
+faithful mode tries the target's own, lower prime floor first
+(chain.faithful_floor), so p is smaller, and in any mode a chain whose p
+has no proof is rebuilt, where its tail could carry one, with proved primes
+as its last two terms, so most documents that derived
+"miller-rabin-probabilistic-64" now derive "lucas-n-plus-1". The parser
+rejects versions 1 to 8.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ from .lab import DiscrepancyReport
 from .lift import Certificate, WitnessPoint
 from .poly import MonicPolynomial, PolyCertificate
 
-CERTIFICATE_VERSION = 8
+CERTIFICATE_VERSION = 9
 
 # How one field's value is written (show) and read back (read).
 Codec = namedtuple("Codec", "show read")

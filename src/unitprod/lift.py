@@ -19,6 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .arith import (
+    PROBABILISTIC_TAG,
     CongruenceClass,
     check_eps,
     crt,
@@ -33,9 +34,10 @@ from .chain import (
     Chain,
     TargetPoint,
     build_chain,
+    build_proved_chain,
     chain_is_valid,
 )
-from .errors import CongruenceViolated
+from .errors import CongruenceViolated, EscalationExhausted, SearchExhausted
 
 
 @dataclass(frozen=True)
@@ -164,6 +166,13 @@ def lift_chain(chain: Chain, p: int) -> WitnessPoint:
     return witness
 
 
+def _least_prime(chain: Chain, eps: Fraction, min_p: int) -> tuple[int, str]:
+    """The least proved prime of the chain's class at or above its error
+    floor and min_p, with its proof tag."""
+    floor = max(min_prime_for_error(chain, eps / 2), min_p)
+    return next_proved_prime_in_ap(dirichlet_residue(chain), floor, chain.a[2:])
+
+
 def approximate(
     target: TargetPoint,
     eps: Fraction | int | str,
@@ -174,13 +183,29 @@ def approximate(
     """Full pipeline: chain within eps/2, prime large enough that the lift
     moves each coordinate by less than eps/2, exact final errors.
 
+    Where no proof of p applies (PROBABILISTIC_TAG), the chain is rebuilt
+    once with a tail of proved primes (build_proved_chain), which p's N+1
+    proof can use as factors of p + 1, and kept only if its p is proved.
+    That proof needs its factors to exceed p^(1/3), so the rebuild runs only
+    when 3 * bits(a[n-1] * a[n]) > bits(p): a chain with fewer tail bits
+    has no chance.
+
     min_p raises the prime search floor beyond the error-driven one (used by
     the polynomial pipeline, harmless otherwise).
     """
     eps = check_eps(eps)
     chain = build_chain(target, eps / 2, config)
-    floor = max(min_prime_for_error(chain, eps / 2), min_p)
-    p, proof = next_proved_prime_in_ap(dirichlet_residue(chain), floor, chain.a[2:])
+    p, proof = _least_prime(chain, eps, min_p)
+    tail_bits = (chain.a[-2] * chain.a[-1]).bit_length()
+    if proof == PROBABILISTIC_TAG and 3 * tail_bits > p.bit_length():
+        try:
+            rebuilt = build_proved_chain(target, eps / 2, config)
+            q, q_proof = _least_prime(rebuilt, eps, min_p)
+        except (EscalationExhausted, SearchExhausted):
+            pass  # no proved tail: keep the first chain
+        else:
+            if q_proof != PROBABILISTIC_TAG:
+                chain, p, proof = rebuilt, q, q_proof
     cert = Certificate(target, eps, chain, lift_chain(chain, p), config.mode)
     vars(cert)["prime_proof"] = proof  # the scan has just proved p
     if cert.max_error >= eps:  # excluded by the eps/2 + eps/2 split

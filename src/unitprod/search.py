@@ -17,7 +17,15 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .arith import as_fraction, check_eps, is_prime, strict_ceil, strict_floor
+from .arith import (
+    DEFAULT_PRIME_SEARCH_STEPS,
+    as_fraction,
+    check_eps,
+    is_prime,
+    is_proved_prime,
+    strict_ceil,
+    strict_floor,
+)
 from .errors import NoCandidate
 
 
@@ -84,27 +92,17 @@ def find_coprime_numerator(
     )
 
 
-def find_denominator_for_prime(
+def _denominator_window(
     a_prime: int,
-    x: Fraction | int | str,
+    x: Fraction,
     eps: Fraction | int | str,
-    min_ratio: Fraction | int | str = 0,
-) -> int:
-    """Best denominator m > a_prime with gcd(a_prime, m) = 1,
-    |x - a_prime/m| < eps and a_prime/m > min_ratio.
-
-    a_prime must be prime, so coprimality just means m is not a multiple of
-    it. The window is capped at a_prime + ceil(2*a_prime/eps), past which
-    the ratio has fallen below eps/2. Ties go to the smaller m.
-
-    >>> find_denominator_for_prime(29, Fraction(1, 2), Fraction(1, 10))
-    59
-    """
-    x, min_ratio = as_fraction(x), as_fraction(min_ratio)
+    min_ratio: Fraction,
+) -> tuple[int, int]:
+    """The least and greatest admissible denominator m > a_prime with
+    |x - a_prime/m| < eps and a_prime/m > min_ratio, capped at a_prime +
+    ceil(2*a_prime/eps), past which the ratio has fallen below eps/2."""
     xn, xd = x.numerator, x.denominator
     rn, rd = min_ratio.numerator, min_ratio.denominator
-    if not is_prime(a_prime):
-        raise ValueError("a_prime must be prime")
     if not 0 <= xn <= xd:
         raise ValueError("x must lie in [0, 1]")
     eps = check_eps(eps)
@@ -126,6 +124,30 @@ def find_denominator_for_prime(
             f"no admissible denominator for a_prime={a_prime}, x={x}, "
             f"eps={eps}, min_ratio={min_ratio}"
         )
+    return m_lo, m_hi
+
+
+def find_denominator_for_prime(
+    a_prime: int,
+    x: Fraction | int | str,
+    eps: Fraction | int | str,
+    min_ratio: Fraction | int | str = 0,
+) -> int:
+    """Best denominator m > a_prime with gcd(a_prime, m) = 1,
+    |x - a_prime/m| < eps and a_prime/m > min_ratio.
+
+    a_prime must be prime, so coprimality just means m is not a multiple of
+    it. The window is capped at a_prime + ceil(2*a_prime/eps), past which
+    the ratio has fallen below eps/2. Ties go to the smaller m.
+
+    >>> find_denominator_for_prime(29, Fraction(1, 2), Fraction(1, 10))
+    59
+    """
+    x, min_ratio = as_fraction(x), as_fraction(min_ratio)
+    if not is_prime(a_prime):
+        raise ValueError("a_prime must be prime")
+    m_lo, m_hi = _denominator_window(a_prime, x, eps, min_ratio)
+    xn, xd = x.numerator, x.denominator
 
     # The distance |x - a_prime/m| is V-shaped in m with bottom at a_prime/x,
     # and a prime never divides two consecutive m, so the best admissible m
@@ -145,6 +167,38 @@ def find_denominator_for_prime(
     if best is not None:
         return best
     raise NoCandidate(
-        f"only multiples of {a_prime} in the window for x={x}, eps={eps}, "
+        f"only multiples of {a_prime} in the window for x={x}, eps={check_eps(eps)}, "
+        f"min_ratio={min_ratio}"
+    )
+
+
+def find_proved_denominator(
+    a_prime: int,
+    x: Fraction | int | str,
+    eps: Fraction | int | str,
+    min_ratio: Fraction | int | str = 0,
+) -> int:
+    """The admissible denominator of find_denominator_for_prime that
+    is_proved_prime accepts and that lies nearest that function's choice;
+    ties go to the smaller m. A prime m > a_prime is never a multiple of it.
+    At most DEFAULT_PRIME_SEARCH_STEPS distances from the choice are tried.
+
+    >>> find_proved_denominator(29, Fraction(1, 2), Fraction(1, 10))
+    59
+    >>> find_proved_denominator(31, Fraction(1, 2), Fraction(1, 10))
+    61
+    """
+    x, min_ratio = as_fraction(x), as_fraction(min_ratio)
+    choice = find_denominator_for_prime(a_prime, x, eps, min_ratio)
+    eps = check_eps(eps)
+    m_lo, m_hi = _denominator_window(a_prime, x, eps, min_ratio)
+    for step in range(DEFAULT_PRIME_SEARCH_STEPS):
+        if choice - step < m_lo and choice + step > m_hi:
+            break
+        for m in (choice - step, choice + step) if step else (choice,):
+            if m_lo <= m <= m_hi and is_proved_prime(m):
+                return m
+    raise NoCandidate(
+        f"no proved prime denominator for a_prime={a_prime}, x={x}, eps={eps}, "
         f"min_ratio={min_ratio}"
     )

@@ -14,11 +14,13 @@ from unitprod.arith import (
     crt,
     factorize,
     is_prime,
+    is_proved_prime,
     jacobi,
     jacobsthal,
     mod_inverse,
     next_prime,
     next_prime_in_ap,
+    next_proved_prime,
     next_proved_prime_in_ap,
     prove_prime,
     strict_ceil,
@@ -677,6 +679,22 @@ def test_composite_cofactor_above_the_bound_never_enters_f(monkeypatch):
     prime = sympy.nextprime(c)
     q = next(q for q in (6 * prime * (rng.getrandbits(40) | 1) - 1 for _ in range(10**4)) if sympy.isprime(q))
     assert arith._nested_proof(prime, 1) == (prove_prime(q, [prime]) == LUCAS_TAG)
+
+
+def test_next_proved_prime_skips_primes_without_a_proof():
+    # below the bound is_prime decides
+    for lower in range(-3, 300):
+        assert next_proved_prime(lower) == next_prime(lower)
+        assert is_proved_prime(lower) == is_prime(lower)
+    # above it, the primes from 2^100 + 10^6 to the first proved one are 77
+    # (the first), then two whose p -+ 1 offer no proof
+    lower = 2**100 + 2 * 10**6
+    proved = next_proved_prime(lower)
+    assert proved - lower == 431
+    skipped = [q for q in range(lower, proved) if sympy.isprime(q)]
+    assert len(skipped) == 3 and skipped[0] == next_prime(lower)
+    assert not any(is_proved_prime(q) for q in skipped)
+    assert sympy.isprime(proved) and arith._nested_proof(proved, 1)
 
 
 def _nested_chain(rng, levels):

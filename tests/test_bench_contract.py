@@ -13,6 +13,10 @@ from pathlib import Path
 
 import pytest
 
+from unitprod.arith import PROBABILISTIC_TAG
+from unitprod.certio import parse_document
+from unitprod.poly import PolyCertificate
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 FIRST_OPS = 5  # certify's fifth op is its first poly target
 
@@ -73,3 +77,16 @@ def test_verify_corpus_fits_the_bench_oracles_and_tampers(tmp_path):
     for i in tampered:
         op = workloads.Op("verify", (i,))
         workload.check(op, workload.run(op))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_verify_corpus_is_proved(tmp_path, seed):
+    # every valid document's p has a proof: none is left to the seeded rounds
+    workload = workloads.Verify(tmp_path)
+    workload.setup(seed)
+    workload.check_corpus()
+    for _, text, _, valid in workload.corpus:
+        if valid:
+            document = parse_document(text)
+            point = document.inner if isinstance(document, PolyCertificate) else document
+            assert point.prime_proof != PROBABILISTIC_TAG

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unitprod import chain as chain_module
 from unitprod.arith import is_prime, next_prime
@@ -13,6 +15,7 @@ from unitprod.chain import (
     TargetPoint,
     build_chain,
     chain_is_valid,
+    faithful_floor,
     faithful_parameters,
 )
 from unitprod.errors import EscalationExhausted, NoCandidate
@@ -129,19 +132,23 @@ def test_build_chain_deterministic():
 def test_build_chain_floor_ladder(monkeypatch, mode, eps, n):
     floors = []
 
-    def failing(target, eps, prime_floor):
+    def failing(target, eps, prime_floor, proved):
         floors.append(prime_floor)
         raise NoCandidate(f"forced at floor {prime_floor}")
 
     monkeypatch.setattr(chain_module, "_attempt_chain", failing)
-    faithful_floor = faithful_parameters(eps, n)[1]
-    message = f"faithful floor {faithful_floor}: forced at floor {faithful_floor}$"
+    target = TargetPoint((Fraction(1, 2),) * n)
+    last = faithful_parameters(eps, n)[1]
+    message = f"faithful floor {last}: forced at floor {last}$"
     with pytest.raises(EscalationExhausted, match=message):
-        build_chain(TargetPoint((Fraction(1, 2),) * n), eps, BuilderConfig(mode))
+        build_chain(target, eps, BuilderConfig(mode))
     # search mode doubles from 3 while below the faithful floor, then tries
-    # that floor; faithful mode tries it alone
-    below = [3 * 2**k for k in range(faithful_floor.bit_length()) if 3 * 2**k < faithful_floor]
-    assert floors == (below if mode == "search" else []) + [faithful_floor]
+    # that floor; faithful mode first tries the target's own floor, which
+    # only n = 5 lowers (n = 2 and 3 have no middle coordinate)
+    below = [3 * 2**k for k in range(last.bit_length()) if 3 * 2**k < last]
+    own = faithful_floor(target, eps)
+    assert (own < last) == (n == 5)
+    assert floors == (below if mode == "search" else [own] * (own < last)) + [last]
 
 
 def test_one_denominator_search_per_attempt(monkeypatch):
@@ -198,6 +205,35 @@ def test_attempt_at_faithful_floor_succeeds():
         assert chain_is_valid(chain.a)
         assert all(abs(t - f) < eps for t, f in zip(target.coords, chain.fractions))
         assert chain.a[n - 1] >= faithful_floor
+
+
+EPS_SET = (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000))  # the benchmark's tolerances
+
+
+@st.composite
+def edge_targets(draw, dims):
+    n = draw(st.sampled_from(dims))
+    coord = st.one_of(st.sampled_from((0, 1)), st.integers(1, 999).map(lambda k: Fraction(k, 1000)))
+    return TargetPoint(tuple(draw(coord) for _ in range(n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(target=edge_targets((4, 5, 6)), eps=st.sampled_from(EPS_SET), halved=st.booleans())
+def test_attempt_at_the_targets_own_floor_succeeds(target, eps, halved):
+    # approximate builds its chain at eps/2
+    eps = eps / 2 if halved else eps
+    n = target.n
+    floor = faithful_floor(target, eps)
+    m, last = faithful_parameters(eps, n)
+    assert floor <= last
+    chain = chain_module._attempt_chain(target, eps, floor)  # no NoCandidate
+    assert chain_is_valid(chain.a)
+    assert all(abs(t - f) < eps for t, f in zip(target.coords, chain.fractions))
+    assert chain.a[n - 1] >= floor
+    # what faithful_floor's proof derives: every numerator window but a1's
+    # has a denominator >= M, and a1's window, eps * a2 / 2 wide, is >= M
+    assert min(chain.a[1], *chain.a[3:n]) >= m
+    assert eps * chain.a[2] / 2 >= m
 
 
 def test_cheap_bound_below_faithful_floor():

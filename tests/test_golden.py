@@ -27,7 +27,8 @@ from unitprod.certio import (
     serialize_poly_certificate,
     serialize_report,
 )
-from unitprod.chain import BuilderConfig, TargetPoint
+from unitprod import lift
+from unitprod.chain import BuilderConfig, TargetPoint, build_chain
 from unitprod.lab import DiscrepancyReport, box_discrepancy
 from unitprod.lift import Certificate, approximate
 from unitprod.poly import MonicPolynomial, PolyCertificate, approximate_polynomial
@@ -72,11 +73,12 @@ def test_parse_serialize_round_trip(name):
 @pytest.mark.parametrize("name, form", [
     ("point-faithful-n4-cube.cert", "cube"),
     ("point-faithful-n5-nested.cert", "nested"),
-    ("point-faithful-n5-fallback.cert", "fallback"),
+    ("point-faithful-n5-rebuilt.cert", "rebuilt"),
 ])
 def test_corpus_covers_each_proof_form(name, form, monkeypatch):
     # one entry proved in the cube-root form, one through a nested proof of
-    # a cofactor, one that still falls back to the 64 seeded rounds
+    # a cofactor, and one whose first chain left p to the 64 seeded rounds,
+    # so that its chain was rebuilt with a proved-prime tail that proves p
     seen = []
     splits, nested = arith._splits, arith._nested_proof
     monkeypatch.setattr(arith, "_splits", lambda *args: seen.append("cube") or splits(*args))
@@ -84,9 +86,15 @@ def test_corpus_covers_each_proof_form(name, form, monkeypatch):
         arith, "_nested_proof", lambda *args: nested(*args) and not seen.append("nested")
     )
     document = parse_document((GOLDEN / name).read_text(encoding="utf-8"))
-    fallback = document.prime_proof == arith.PROBABILISTIC_TAG
-    assert (form == "fallback") == fallback
-    assert (form in seen) or fallback
+    assert document.prime_proof == arith.LUCAS_TAG
+    first = build_chain(document.target, document.eps / 2, BuilderConfig(document.mode))
+    rebuilt = first != document.chain
+    assert (form == "rebuilt") == rebuilt
+    if rebuilt:
+        assert all(arith.is_proved_prime(a) for a in document.chain.a[-2:])
+        assert lift._least_prime(first, document.eps, 2)[1] == arith.PROBABILISTIC_TAG
+    else:
+        assert form in seen
 
 
 def stored_version(data: bytes) -> int | None:

@@ -4,8 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from unitprod.arith import CongruenceClass, is_prime
-from unitprod.chain import Chain, TargetPoint
+from unitprod.arith import (
+    LUCAS_TAG,
+    PROBABILISTIC_TAG,
+    CongruenceClass,
+    is_prime,
+    is_proved_prime,
+)
+from unitprod.chain import BuilderConfig, Chain, TargetPoint, build_chain
 from unitprod import lift
 from unitprod.certio import parse_document, serialize_certificate
 from unitprod.errors import CertificateFormatError, CongruenceViolated
@@ -193,6 +199,37 @@ def test_approximate_needs_a_large_floor():
     cert = approximate(target, Fraction(1, 1000))
     assert check_certificate(cert) is None
     assert cert.chain.a[4] > 3 * 2**40
+
+
+def test_a_fallback_p_is_rebuilt_with_a_proved_tail():
+    # the golden point-faithful-n5-rebuilt input: no proof applies to the p
+    # of its first chain
+    target = TargetPoint(tuple(Fraction(k, 1000) for k in (94, 87, 370, 856, 174)))
+    eps, config = Fraction(1, 1000), BuilderConfig("faithful")
+    first = build_chain(target, eps / 2, config)
+    assert lift._least_prime(first, eps, 2)[1] == PROBABILISTIC_TAG
+    cert = approximate(target, eps, config)
+    assert cert.chain != first
+    assert all(is_prime(a) and is_proved_prime(a) for a in cert.chain.a[-2:])
+    assert cert.prime_proof == LUCAS_TAG
+    assert check_certificate(cert) is None
+
+
+@pytest.mark.parametrize("min_p, rebuilds", [(2, 1), (2**12, 0)])
+def test_rebuild_gate(monkeypatch, min_p, rebuilds):
+    # every p is made to fall back; the chain (1, 2, 3, 5) has a tail 3 * 5
+    # of 4 bits, so only a p below 2^12 can be proved from it and rebuilt
+    scan, rebuild = lift.next_proved_prime_in_ap, lift.build_proved_chain
+    monkeypatch.setattr(
+        lift, "next_proved_prime_in_ap", lambda *args: (scan(*args)[0], PROBABILISTIC_TAG)
+    )
+    calls = []
+    monkeypatch.setattr(lift, "build_proved_chain", lambda *args: calls.append(args) or rebuild(*args))
+    cert = approximate(TARGET, Fraction(1, 5), min_p=min_p)
+    assert len(calls) == rebuilds
+    # a rebuilt p that still falls back is not kept: the first chain stays
+    assert cert.chain == CHAIN
+    assert cert.prime_proof == PROBABILISTIC_TAG
 
 
 def test_approximate_validation():

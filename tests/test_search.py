@@ -4,9 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from unitprod.arith import jacobsthal, next_prime
+from unitprod.arith import is_prime, jacobsthal, next_prime
 from unitprod.errors import NoCandidate
-from unitprod.search import find_coprime_numerator, find_denominator_for_prime
+from unitprod.search import (
+    find_coprime_numerator,
+    find_denominator_for_prime,
+    find_proved_denominator,
+)
 
 
 def brute_numerator(x, b, Q, eps, min_ratio):
@@ -182,6 +186,35 @@ def test_denominator_oracle_equivalence():
         assert got % a_prime != 0
         assert abs(x - Fraction(a_prime, got)) < eps
         assert Fraction(a_prime, got) > min_ratio
+
+
+def test_proved_denominator_is_the_admissible_prime_nearest_the_choice():
+    # below the bound a proved prime is a prime
+    rng = random.Random(2004)
+    for _ in range(300):
+        a_prime = next_prime(rng.randint(2, 300))
+        x = Fraction(rng.randint(0, 40), 40)
+        eps = Fraction(1, rng.choice((2, 5, 20)))
+        min_ratio = Fraction(0) if rng.random() < 0.5 else eps / 2
+        try:
+            choice = find_denominator_for_prime(a_prime, x, eps, min_ratio)
+        except NoCandidate:
+            with pytest.raises(NoCandidate):
+                find_proved_denominator(a_prime, x, eps, min_ratio)
+            continue
+        primes = sorted(
+            (abs(m - choice), m)
+            for m in range(a_prime + 1, a_prime + math.ceil(2 * a_prime / eps) + 1)
+            if is_prime(m)
+            and abs(x - Fraction(a_prime, m)) < eps
+            and Fraction(a_prime, m) > min_ratio
+        )
+        try:
+            got = find_proved_denominator(a_prime, x, eps, min_ratio)
+        except NoCandidate:
+            assert not primes
+            continue
+        assert got == primes[0][1]
 
 
 def test_denominator_zero_target():
